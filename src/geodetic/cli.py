@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
 from .geometry import (
     SearchScope,
+    _graph_and_filter,
     bigon_report_line,
     enumerate_bigons,
     enumerate_triangles,
@@ -24,7 +24,6 @@ from .geometry import (
     triangle_report_line,
 )
 from .graphs import (
-    Graph,
     SaturationError,
     graph_to_dot,
     min_geodetic_k,
@@ -93,12 +92,6 @@ def _load_host(args):
     raise ValueError("pass --graph FILE or --group FILE")
 
 
-def _host_parts(host) -> tuple[Graph, Optional[object]]:
-    if isinstance(host, CayleyBall):
-        return host.graph, host.is_trusted_pair
-    return host, None
-
-
 def _scope(args) -> SearchScope:
     scope = SearchScope()
     if getattr(args, "scope_pairs", None) is not None:
@@ -130,7 +123,7 @@ def cmd_ball(args) -> int:
 
 def cmd_check_k(args) -> int:
     host = _load_host(args)
-    g, pair_filter = _host_parts(host)
+    g, pair_filter = _graph_and_filter(host)
     min_k, witness = min_geodetic_k(g, pair_filter=pair_filter)
     ok = min_k <= args.k
     print(f"k-geodetic: {'true' if ok else 'false'} (min k = {min_k})")
@@ -144,7 +137,7 @@ def cmd_check_k(args) -> int:
 
 def cmd_min_k(args) -> int:
     host = _load_host(args)
-    g, pair_filter = _host_parts(host)
+    g, pair_filter = _graph_and_filter(host)
     min_k, witness = min_geodetic_k(g, pair_filter=pair_filter)
     print(f"min k = {min_k}")
     if args.verbose and witness is not None:
@@ -155,7 +148,7 @@ def cmd_min_k(args) -> int:
 
 def cmd_ladders(args) -> int:
     host = _load_host(args)
-    g, pair_filter = _host_parts(host)
+    g, pair_filter = _graph_and_filter(host)
     if args.k is not None:
         k = args.k
     else:
@@ -269,7 +262,7 @@ def cmd_word_tool(args) -> int:
 
 def cmd_export_dot(args) -> int:
     host = _load_host(args)
-    g, _ = _host_parts(host)
+    g, _ = _graph_and_filter(host)
     text = graph_to_dot(g)
     if args.dot:
         _write(args.dot, text)

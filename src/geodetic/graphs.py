@@ -8,7 +8,7 @@ growing at the cap; a saturated value means "at least this many".
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 UNREACHED = -1
@@ -30,12 +30,11 @@ class SaturationError(RuntimeError):
 class PathSeq:
     """A walk v_0..v_n; length counts edges, so a single vertex has length 0.
 
-    Walks may repeat vertices.  ``geodesic_checked`` marks paths handed out
-    by a geodesic enumerator and is ignored for equality and hashing.
+    Walks may repeat vertices; a PathSeq carries no record of whether it is
+    a geodesic, so callers that need one check it against the graph.
     """
 
     vertices: tuple[int, ...]
-    geodesic_checked: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if not self.vertices:
@@ -57,21 +56,21 @@ class PathSeq:
         return self.vertices[i]
 
     def reversed(self) -> "PathSeq":
-        return PathSeq(tuple(reversed(self.vertices)), self.geodesic_checked)
+        return PathSeq(tuple(reversed(self.vertices)))
 
 
 @dataclass
 class GeodesicDag:
     """Shortest-path data from a single BFS source.
 
-    dist[v] is UNREACHED for vertices in other components.  preds[v] lists
-    the neighbours u of v with dist[u] = dist[v] - 1, and counts[v] is the
-    number of geodesics source -> v (saturating at count_cap when set).
+    dist[v] is UNREACHED for vertices in other components, and counts[v] is
+    the number of geodesics source -> v (saturating at count_cap when set).
+    The geodesic predecessors of v are the neighbours u with
+    dist[u] = dist[v] - 1; they are not stored.
     """
 
     source: int
     dist: list[int]
-    preds: list[list[int]]
     counts: list[int]
     count_cap: Optional[int] = None
 
@@ -81,8 +80,8 @@ class Graph:
 
     Adjacency lists are sorted, which fixes the order of every enumeration
     built on top of them.  vertex_labels and edge_labels (keyed by directed
-    pair) are optional display tables.  BFS DAGs are memoised per source, so
-    repeated distance or count queries are cheap; all queries are pure reads.
+    pair) are optional display tables.  One BFS DAG is memoised per source
+    (see dag), so repeated distance or count queries are cheap.
     """
 
     def __init__(
@@ -116,7 +115,7 @@ class Graph:
         if self.vertex_labels is not None and len(self.vertex_labels) != vertex_count:
             raise GraphFormatError("vertex_labels length disagrees with vertex_count")
         self.edge_labels = dict(edge_labels) if edge_labels else None
-        self._dag_cache: dict[tuple[int, Optional[int]], GeodesicDag] = {}
+        self._dag_cache: dict[int, GeodesicDag] = {}
         self._connected: Optional[bool] = None
 
     def neighbors(self, u: int) -> tuple[int, ...]:
@@ -146,11 +145,15 @@ class Graph:
         return self._connected
 
     def dag(self, source: int, count_cap: Optional[int] = None) -> GeodesicDag:
-        key = (source, count_cap)
-        got = self._dag_cache.get(key)
-        if got is None:
+        """The BFS DAG from source with counts saturating at count_cap.
+
+        The cache holds one DAG per source.  A request with a different
+        count_cap than the cached entry rebuilds it and replaces it.
+        """
+        got = self._dag_cache.get(source)
+        if got is None or got.count_cap != count_cap:
             got = bfs_dag(self, source, count_cap=count_cap)
-            self._dag_cache[key] = got
+            self._dag_cache[source] = got
         return got
 
     def dist(self, u: int, v: int) -> int:
@@ -184,17 +187,16 @@ def build_graph(
 
 
 def bfs_dag(g: Graph, source: int, count_cap: Optional[int] = None) -> GeodesicDag:
-    """Layered BFS from source: distances, geodesic predecessors, counts.
+    """Layered BFS from source: distances and geodesic counts.
 
-    counts[v] is the sum of counts over predecessors, clipped at count_cap
-    when a cap is given.
+    counts[v] is the sum of counts over the geodesic predecessors of v,
+    clipped at count_cap when a cap is given.
     """
     g.check_vertex(source)
     if count_cap is not None and count_cap < 1:
         raise ValueError("count_cap must be at least 1")
     n = g.vertex_count
     dist = [UNREACHED] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
     counts = [0] * n
     dist[source] = 0
     counts[source] = 1
@@ -207,10 +209,9 @@ def bfs_dag(g: Graph, source: int, count_cap: Optional[int] = None) -> GeodesicD
                 dist[v] = du1
                 queue.append(v)
             if dist[v] == du1:
-                preds[v].append(u)
                 c = counts[v] + counts[u]
                 counts[v] = c if count_cap is None else min(c, count_cap)
-    return GeodesicDag(source, dist, preds, counts, count_cap)
+    return GeodesicDag(source, dist, counts, count_cap)
 
 
 def count_geodesics(g: Graph, u: int, v: int, count_cap: Optional[int] = None) -> int:
@@ -229,50 +230,53 @@ def enumerate_geodesics(
     """All geodesics u -> v in lexicographic vertex order.
 
     Returns (paths, truncated); with a limit, at most limit paths come back
-    and truncated says whether more exist.
+    and truncated says whether more exist.  The search keeps an explicit
+    stack of neighbour iterators, so path length is not bounded by the
+    interpreter's recursion limit.
     """
     g.check_vertex(u)
     g.check_vertex(v)
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
-    du = g.dag(u).dist
     dv = g.dag(v).dist
-    total = du[v]
+    total = dv[u]
     if total == UNREACHED:
         raise UnreachablePairError(f"vertices {u} and {v} are in different components")
+    if u == v:
+        # The single-vertex geodesic counts against the limit like any other.
+        return ([], True) if limit == 0 else ([PathSeq((u,))], False)
+    # A walk from u is a geodesic to v exactly when every step lowers the
+    # distance to v by one.  stack[i] holds the unexplored neighbours of path[i].
     out: list[PathSeq] = []
-    truncated = False
     path = [u]
-
-    def extend(x: int) -> bool:
-        # Returns False once the limit is exceeded, ending the search.
-        if x == v:
-            if limit is not None and len(out) == limit:
-                return False
-            out.append(PathSeq(tuple(path), geodesic_checked=True))
-            return True
-        nxt = du[x] + 1
-        for w in g.adj[x]:
-            if du[w] == nxt and dv[w] == total - nxt:
-                path.append(w)
-                ok = extend(w)
-                path.pop()
-                if not ok:
-                    return False
-        return True
-
-    if not extend(u):
-        truncated = True
-    return out, truncated
+    stack = [iter(g.adj[u])]
+    while stack:
+        down = total - len(path)
+        for x in stack[-1]:
+            if dv[x] != down:
+                continue
+            if x == v:
+                if limit is not None and len(out) == limit:
+                    return out, True
+                out.append(PathSeq((*path, v)))
+            else:
+                path.append(x)
+                stack.append(iter(g.adj[x]))
+                break
+        else:
+            stack.pop()
+            path.pop()
+    return out, False
 
 
 def _pair_counts(
     g: Graph,
     pair_filter: Optional[Callable[[int, int], bool]],
     count_cap: Optional[int],
-) -> list[tuple[int, int, int, int]]:
-    """(dist, u, v, count) for admitted pairs u < v, sorted by (dist, u, v).
+) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (dist, u, v, count) for admitted pairs u < v, in (u, v) order.
 
+    Nothing is materialised: each row is read from the cached DAG of u.
     For a single-vertex graph the lone pair (0, 0) is admitted so that the
     scan is never empty.
     """
@@ -281,16 +285,15 @@ def _pair_counts(
     if not g.is_connected():
         raise UnreachablePairError("graph is not connected")
     if g.vertex_count == 1:
-        return [(0, 0, 0, 1)] if (pair_filter is None or pair_filter(0, 0)) else []
-    rows: list[tuple[int, int, int, int]] = []
+        if pair_filter is None or pair_filter(0, 0):
+            yield (0, 0, 0, 1)
+        return
     for u in range(g.vertex_count):
         dag = g.dag(u, count_cap)
+        dist, counts = dag.dist, dag.counts
         for v in range(u + 1, g.vertex_count):
-            if pair_filter is not None and not pair_filter(u, v):
-                continue
-            rows.append((dag.dist[v], u, v, dag.counts[v]))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return rows
+            if pair_filter is None or pair_filter(u, v):
+                yield (dist[v], u, v, counts[v])
 
 
 def min_geodetic_k(
@@ -304,17 +307,17 @@ def min_geodetic_k(
     (distance, u, v).  The diagonal is skipped except on a single-vertex
     graph, where the answer is 1 with witness (0, 0).
     """
-    rows = _pair_counts(g, pair_filter, count_cap)
-    if not rows:
+    best = min(
+        _pair_counts(g, pair_filter, count_cap),
+        key=lambda r: (-r[3], r[0], r[1], r[2]),
+        default=None,
+    )
+    if best is None:
         raise ValueError("no admitted vertex pairs")
-    best = None
-    for d, u, v, c in rows:
-        if best is None or c > best[0]:
-            best = (c, (u, v))
-    k, witness = best
+    _, u, v, k = best
     if count_cap is not None and k >= count_cap:
         raise SaturationError(f"min geodetic k is at least {count_cap}")
-    return k, witness
+    return k, (u, v)
 
 
 def is_k_geodetic(
@@ -328,10 +331,10 @@ def is_k_geodetic(
     if k < 1:
         raise ValueError("k must be at least 1")
     rows = _pair_counts(g, pair_filter, count_cap=k + 1)
-    for d, u, v, c in rows:
-        if c > k:
-            return False, (u, v)
-    return True, None
+    violator = min((r for r in rows if r[3] > k), default=None)
+    if violator is None:
+        return True, None
+    return False, (violator[1], violator[2])
 
 
 def is_complete_bipartite(g: Graph) -> Optional[tuple[int, int]]:

@@ -621,6 +621,38 @@ class GroupFile:
     default_radius: Optional[int]
 
 
+def _group_spec(parts: list[str]) -> GroupSpec:
+    """The spec named by a ``group`` line of any kind but ``table``."""
+    kind = parts[1]
+    if kind == "cyclic":
+        if len(parts) != 3:
+            raise GroupSpecError("expected 'group cyclic <n>'")
+        return CyclicSpec(int(parts[2]))
+    if kind == "product":
+        rest = parts[2:]
+        if len(rest) % 2 != 0 or not rest:
+            raise GroupSpecError("product factors come as 'cyclic <n>' pairs")
+        factors = []
+        for j in range(0, len(rest), 2):
+            if rest[j] != "cyclic":
+                raise GroupSpecError("only cyclic factors are supported in files")
+            factors.append(CyclicSpec(int(rest[j + 1])))
+        return ProductSpec(factors)
+    if kind == "plain":
+        rank = 0
+        orders: list[int] = []
+        for token in parts[2:]:
+            if token.startswith("Z="):
+                rank = int(token[2:])
+            elif token.startswith("factors="):
+                body = token[len("factors=") :]
+                orders = [int(x) for x in body.split(",") if x]
+            else:
+                raise GroupSpecError(f"unknown plain option {token!r}")
+        return PlainSpec(rank, orders)
+    raise GroupSpecError(f"unknown group kind {kind!r}")
+
+
 def parse_group_file(text: str) -> GroupFile:
     """Parse the line-oriented group format.
 
@@ -628,86 +660,55 @@ def parse_group_file(text: str) -> GroupFile:
     ``group product cyclic <n> cyclic <m> ...``, or
     ``group plain Z=<rank> factors=<o1>,<o2>``.  Generators come one per
     ``gen <label> <element expression>`` line, and an optional
-    ``ball R=<r>`` line records a default radius.
+    ``ball R=<r>`` line records a default radius.  An error found on one
+    line, a table row included, names that line.  TableSpec checks the
+    table as a whole once its last row is read.
     """
     spec: Optional[GroupSpec] = None
     gen_pairs: list[tuple[str, Element]] = []
     default_radius: Optional[int] = None
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        lineno = i + 1
-        line = lines[i].split("#", 1)[0].strip()
-        i += 1
+    rows: Optional[list[list[int]]] = None  # a 'group table' still reading its rows
+    table_size = table_line = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "group":
-            if spec is not None:
-                raise GroupSpecError(f"line {lineno}: duplicate group line")
-            if len(parts) < 2:
-                raise GroupSpecError(f"line {lineno}: missing group kind")
-            kind = parts[1]
-            if kind == "cyclic":
-                if len(parts) != 3:
-                    raise GroupSpecError(f"line {lineno}: expected 'group cyclic <n>'")
-                spec = CyclicSpec(int(parts[2]))
-            elif kind == "table":
-                if len(parts) != 3:
-                    raise GroupSpecError(f"line {lineno}: expected 'group table <n>'")
-                n = int(parts[2])
-                rows = []
-                while len(rows) < n and i < len(lines):
-                    row_line = lines[i].split("#", 1)[0].strip()
-                    i += 1
-                    if not row_line:
-                        continue
-                    rows.append([int(x) for x in row_line.split()])
-                if len(rows) != n:
-                    raise GroupSpecError(f"line {lineno}: table needs {n} rows")
-                spec = TableSpec(rows)
-            elif kind == "product":
-                rest = parts[2:]
-                if len(rest) % 2 != 0 or not rest:
-                    raise GroupSpecError(
-                        f"line {lineno}: product factors come as 'cyclic <n>' pairs"
-                    )
-                factors = []
-                for j in range(0, len(rest), 2):
-                    if rest[j] != "cyclic":
-                        raise GroupSpecError(
-                            f"line {lineno}: only cyclic factors are supported in files"
-                        )
-                    factors.append(CyclicSpec(int(rest[j + 1])))
-                spec = ProductSpec(factors)
-            elif kind == "plain":
-                rank = 0
-                orders: list[int] = []
-                for token in parts[2:]:
-                    if token.startswith("Z="):
-                        rank = int(token[2:])
-                    elif token.startswith("factors="):
-                        body = token[len("factors=") :]
-                        orders = [int(x) for x in body.split(",") if x]
-                    else:
-                        raise GroupSpecError(f"line {lineno}: unknown plain option {token!r}")
-                spec = PlainSpec(rank, orders)
+        try:
+            if rows is not None:
+                rows.append([int(x) for x in parts])
+            elif parts[0] == "group":
+                if spec is not None:
+                    raise GroupSpecError("duplicate group line")
+                if len(parts) < 2:
+                    raise GroupSpecError("missing group kind")
+                if parts[1] != "table":
+                    spec = _group_spec(parts)
+                elif len(parts) != 3:
+                    raise GroupSpecError("expected 'group table <n>'")
+                else:
+                    table_size, table_line = int(parts[2]), lineno
+                    if table_size < 0:
+                        raise GroupSpecError("table size must be nonnegative")
+                    rows = []
+            elif parts[0] == "gen":
+                if spec is None:
+                    raise GroupSpecError("gen before group line")
+                if len(parts) < 3:
+                    raise GroupSpecError("expected 'gen <label> <expression>'")
+                gen_pairs.append((parts[1], spec.parse_element(line.split(None, 2)[2])))
+            elif parts[0] == "ball":
+                if len(parts) != 2 or not parts[1].startswith("R="):
+                    raise GroupSpecError("expected 'ball R=<r>'")
+                default_radius = int(parts[1][2:])
             else:
-                raise GroupSpecError(f"line {lineno}: unknown group kind {kind!r}")
-        elif parts[0] == "gen":
-            if spec is None:
-                raise GroupSpecError(f"line {lineno}: gen before group line")
-            if len(parts) < 3:
-                raise GroupSpecError(f"line {lineno}: expected 'gen <label> <expression>'")
-            label = parts[1]
-            expr = line.split(None, 2)[2]
-            gen_pairs.append((label, spec.parse_element(expr)))
-        elif parts[0] == "ball":
-            if len(parts) != 2 or not parts[1].startswith("R="):
-                raise GroupSpecError(f"line {lineno}: expected 'ball R=<r>'")
-            default_radius = int(parts[1][2:])
-        else:
-            raise GroupSpecError(f"line {lineno}: unknown directive {parts[0]!r}")
+                raise GroupSpecError(f"unknown directive {parts[0]!r}")
+        except ValueError as exc:
+            raise GroupSpecError(f"line {lineno}: {exc}") from exc
+        if rows is not None and len(rows) == table_size:
+            spec, rows = TableSpec(rows), None
+    if rows is not None:
+        raise GroupSpecError(f"line {table_line}: table needs {table_size} rows")
     if spec is None:
         raise GroupSpecError("missing 'group' line")
     genset = validate_genset(spec, gen_pairs)

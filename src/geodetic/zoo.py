@@ -54,13 +54,6 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     return build_graph(edges, n)
 
 
-def random_graph(n: int, edge_prob: float, rng: random.Random) -> Graph:
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob
-    ]
-    return build_graph(edges, n)
-
-
 def _plain_genset(spec: PlainSpec) -> GenSet:
     pairs = []
     for i in range(spec.free_rank):

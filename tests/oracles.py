@@ -60,3 +60,39 @@ def has_factor_naive(w: tuple, forbidden) -> bool:
         for f in forbidden
         for i in range(len(w) - len(f) + 1)
     )
+
+
+def sorted_pair_counts(
+    g: Graph, pair_filter=None, count_cap: Optional[int] = None
+) -> list[tuple[int, int, int, int]]:
+    """(dist, u, v, count) for admitted pairs u < v, materialised and sorted.
+
+    Counts come from dfs_shortest_paths and are clipped at count_cap.
+    """
+    rows = []
+    for u in range(g.vertex_count):
+        for v in range(u + 1, g.vertex_count):
+            if pair_filter is not None and not pair_filter(u, v):
+                continue
+            dist, walks = dfs_shortest_paths(g, u, v)
+            count = len(walks) if count_cap is None else min(len(walks), count_cap)
+            rows.append((dist, u, v, count))
+    rows.sort()
+    return rows
+
+
+def first_maximiser(rows) -> Optional[tuple[int, tuple[int, int]]]:
+    """(count, (u, v)) of the first row with the largest count, or None."""
+    best = None
+    for _, u, v, count in rows:
+        if best is None or count > best[0]:
+            best = (count, (u, v))
+    return best
+
+
+def first_violator(rows, k: int) -> Optional[tuple[int, int]]:
+    """(u, v) of the first row with more than k geodesics, or None."""
+    for _, u, v, count in rows:
+        if count > k:
+            return (u, v)
+    return None

@@ -264,3 +264,23 @@ def test_bad_group_file_is_reported(capsys, tmp_path):
     path.write_text("group cyclic 6\ngen a pow 1\n")
     code, _, err = run(capsys, ["ball", "--group", str(path)])
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("group cyclic x\n", 1),
+        ("group cyclic 6\ngen a pow x\n", 2),
+        ("group cyclic 6\ngen a foo 1\n", 2),
+        ("group table 2\n0 1\n\n1 x\ngen a idx 1\n", 4),
+        ("# plain\ngroup plain Z=q\n", 2),
+        ("group cyclic 6\ngen a pow 1\nball R=z\n", 3),
+    ],
+    ids=["group-order", "gen-power", "gen-expression", "table-row", "plain-rank", "ball-radius"],
+)
+def test_group_file_errors_name_their_line(capsys, tmp_path, text, lineno):
+    path = tmp_path / "bad.grp"
+    path.write_text(text)
+    code, out, err = run(capsys, ["ball", "--group", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: line {lineno}: ")

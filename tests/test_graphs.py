@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geodetic import (
     GraphFormatError,
@@ -7,6 +7,7 @@ from geodetic import (
     SaturationError,
     UnreachablePairError,
     build_graph,
+    cayley_ball,
     count_geodesics,
     enumerate_geodesics,
     format_graph,
@@ -19,14 +20,16 @@ from geodetic import (
 from geodetic.zoo import (
     complete_bipartite,
     cycle_graph,
+    infinite_cyclic,
     path_graph,
     petersen_graph,
     random_tree,
     star_graph,
+    z_cross_z2,
 )
 import random
 
-from oracles import dfs_shortest_paths
+from oracles import dfs_shortest_paths, first_maximiser, first_violator, sorted_pair_counts
 
 
 @st.composite
@@ -60,12 +63,33 @@ def test_enumerate_respects_limit():
     assert truncated and len(paths) == 2
     paths, truncated = enumerate_geodesics(g, 0, 1, limit=3)
     assert not truncated and len(paths) == 3
+    assert enumerate_geodesics(g, 2, 2, limit=0) == ([], True)
+    assert enumerate_geodesics(g, 2, 2, limit=1) == ([PathSeq((2,))], False)
+    assert enumerate_geodesics(g, 2, 2) == ([PathSeq((2,))], False)
+
+
+def test_enumerate_long_geodesic_without_recursion():
+    ball = cayley_ball(*infinite_cyclic(), 1200)
+    u, v = ball.vertex_of(0), ball.vertex_of(1100)
+    paths, truncated = enumerate_geodesics(ball.graph, u, v)
+    assert not truncated and len(paths) == 1
+    assert len(paths[0].vertices) == 1101
+    assert paths[0].start == u and paths[0].end == v
 
 
 def test_count_saturates_at_cap():
     g = cycle_graph(4)
     assert count_geodesics(g, 0, 2) == 2
     assert count_geodesics(g, 0, 2, count_cap=1) == 1
+    assert count_geodesics(g, 0, 2) == 2
+
+
+def test_dag_cache_keeps_one_entry_per_source():
+    g = cayley_ball(*z_cross_z2(), 4).graph
+    min_geodetic_k(g)
+    is_k_geodetic(g, 1)
+    assert len(g._dag_cache) <= g.vertex_count
+    assert set(g._dag_cache) <= set(range(g.vertex_count))
 
 
 @given(st.integers(2, 50), st.integers(0, 10**6))
@@ -92,6 +116,31 @@ def test_known_min_k_values():
             # route through every vertex of the other part.
             expected = max(a, b) if a >= 2 else 1
             assert min_geodetic_k(complete_bipartite(a, b))[0] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    connected_graphs(),
+    st.sampled_from([None, 2, 3]),
+    st.sampled_from([None, 1, 2, 3]),
+)
+# A pendant 0 on a 4-cycle: the first violator in (u, v) order, (0, 3), is
+# farther apart than the first in (distance, u, v) order, (1, 3).
+@example(build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)], 5), None, None)
+def test_witness_and_violator_match_sorted_scan_oracle(g, modulus, count_cap):
+    pair_filter = None if modulus is None else (lambda u, v: (u + 2 * v) % modulus != 0)
+    best = first_maximiser(sorted_pair_counts(g, pair_filter, count_cap))
+    if best is None:
+        with pytest.raises(ValueError):
+            min_geodetic_k(g, pair_filter, count_cap)
+    elif count_cap is not None and best[0] >= count_cap:
+        with pytest.raises(SaturationError):
+            min_geodetic_k(g, pair_filter, count_cap)
+    else:
+        assert min_geodetic_k(g, pair_filter, count_cap) == best
+    for k in (1, 2, 3):
+        violator = first_violator(sorted_pair_counts(g, pair_filter, k + 1), k)
+        assert is_k_geodetic(g, k, pair_filter) == (violator is None, violator)
 
 
 def test_min_k_single_vertex():
