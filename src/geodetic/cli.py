@@ -92,6 +92,15 @@ def _load_host(args):
     raise ValueError("pass --graph FILE or --group FILE")
 
 
+def _dot(host) -> str:
+    """DOT text of a graph, or of a ball with element and generator labels."""
+    if isinstance(host, CayleyBall):
+        labels = [host.spec.format_element(x) for x in host.elements]
+        return graph_to_dot(host.graph, vertex_labels=labels,
+                            edge_label=lambda u, v: host.word_of_path((u, v))[0])
+    return graph_to_dot(host)
+
+
 def _scope(args) -> SearchScope:
     scope = SearchScope()
     if getattr(args, "scope_pairs", None) is not None:
@@ -117,7 +126,7 @@ def cmd_ball(args) -> int:
         if frac is not None:
             print(f"reached {len(ball.elements)} of {ball.spec.order()} group elements")
     if args.dot:
-        _write(args.dot, graph_to_dot(g))
+        _write(args.dot, _dot(ball))
     return 0
 
 
@@ -261,9 +270,7 @@ def cmd_word_tool(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    host = _load_host(args)
-    g, _ = _graph_and_filter(host)
-    text = graph_to_dot(g)
+    text = _dot(_load_host(args))
     if args.dot:
         _write(args.dot, text)
     else:

@@ -76,21 +76,14 @@ class GeodesicDag:
 
 
 class Graph:
-    """Immutable simple undirected graph.
+    """Immutable simple undirected graph, adjacency only.
 
     Adjacency lists are sorted, which fixes the order of every enumeration
-    built on top of them.  vertex_labels and edge_labels (keyed by directed
-    pair) are optional display tables.  One BFS DAG is memoised per source
-    (see dag), so repeated distance or count queries are cheap.
+    built on top of them.  One BFS DAG is memoised per source (see dag), so
+    repeated distance or count queries are cheap.
     """
 
-    def __init__(
-        self,
-        vertex_count: int,
-        adjacency: Sequence[Iterable[int]],
-        vertex_labels: Optional[Sequence[str]] = None,
-        edge_labels: Optional[dict[tuple[int, int], str]] = None,
-    ):
+    def __init__(self, vertex_count: int, adjacency: Sequence[Iterable[int]]):
         if vertex_count < 0:
             raise GraphFormatError("vertex_count must be nonnegative")
         if len(adjacency) != vertex_count:
@@ -111,10 +104,6 @@ class Graph:
                     raise GraphFormatError(f"edge {u}-{v} is not symmetric")
         self.vertex_count = vertex_count
         self.adj: tuple[tuple[int, ...], ...] = tuple(adj)
-        self.vertex_labels = tuple(vertex_labels) if vertex_labels is not None else None
-        if self.vertex_labels is not None and len(self.vertex_labels) != vertex_count:
-            raise GraphFormatError("vertex_labels length disagrees with vertex_count")
-        self.edge_labels = dict(edge_labels) if edge_labels else None
         self._dag_cache: dict[int, GeodesicDag] = {}
         self._connected: Optional[bool] = None
 
@@ -168,12 +157,7 @@ class Graph:
             raise ValueError(f"vertex {u} out of range (n={self.vertex_count})")
 
 
-def build_graph(
-    edge_list: Iterable[tuple[int, int]],
-    vertex_count: int,
-    vertex_labels: Optional[Sequence[str]] = None,
-    edge_labels: Optional[dict[tuple[int, int], str]] = None,
-) -> Graph:
+def build_graph(edge_list: Iterable[tuple[int, int]], vertex_count: int) -> Graph:
     """Build a Graph from an undirected edge list (duplicates collapse)."""
     adjacency: list[list[int]] = [[] for _ in range(vertex_count)]
     for u, v in edge_list:
@@ -183,7 +167,7 @@ def build_graph(
             raise GraphFormatError(f"self-loop at vertex {u}")
         adjacency[u].append(v)
         adjacency[v].append(u)
-    return Graph(vertex_count, adjacency, vertex_labels, edge_labels)
+    return Graph(vertex_count, adjacency)
 
 
 def bfs_dag(g: Graph, source: int, count_cap: Optional[int] = None) -> GeodesicDag:
@@ -325,12 +309,13 @@ def is_k_geodetic(
 ) -> tuple[bool, Optional[tuple[int, int]]]:
     """Whether every vertex pair has at most k geodesics.
 
-    Counting saturates at k + 1 per pair.  On failure the counterexample is
-    the first violating pair in (distance, u, v) order.
+    Counts are exact and read from the shared DAG cache, so a call after an
+    uncapped min_geodetic_k on the same graph runs no BFS.  On failure the
+    counterexample is the first violating pair in (distance, u, v) order.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    rows = _pair_counts(g, pair_filter, count_cap=k + 1)
+    rows = _pair_counts(g, pair_filter, count_cap=None)
     violator = min((r for r in rows if r[3] > k), default=None)
     if violator is None:
         return True, None
@@ -413,20 +398,26 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def graph_to_dot(g: Graph, name: str = "G") -> str:
-    """DOT serialization; vertex and edge labels included when present."""
+def graph_to_dot(
+    g: Graph,
+    name: str = "G",
+    vertex_labels: Optional[Sequence[str]] = None,
+    edge_label: Optional[Callable[[int, int], str]] = None,
+) -> str:
+    """DOT serialization.
+
+    The caller supplies the display labels, if any: vertex_labels[u] for
+    each vertex, and edge_label(u, v) for each edge with u < v.
+    """
     lines = [f"graph {name} {{"]
     for u in range(g.vertex_count):
-        if g.vertex_labels is not None:
-            lines.append(f"  {u} [label={_dot_quote(g.vertex_labels[u])}];")
+        if vertex_labels is not None:
+            lines.append(f"  {u} [label={_dot_quote(vertex_labels[u])}];")
         else:
             lines.append(f"  {u};")
     for u, v in g.edges():
-        label = None
-        if g.edge_labels is not None:
-            label = g.edge_labels.get((u, v))
-        if label is not None:
-            lines.append(f"  {u} -- {v} [label={_dot_quote(label)}];")
+        if edge_label is not None:
+            lines.append(f"  {u} -- {v} [label={_dot_quote(edge_label(u, v))}];")
         else:
             lines.append(f"  {u} -- {v};")
     lines.append("}")

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 import os
-import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .graphs import Graph, build_graph
+from .graphs import Graph
 from .words import Alphabet, Word
 
 Element = Union[int, tuple]
@@ -128,12 +127,11 @@ class CyclicSpec(GroupSpec):
 class TableSpec(GroupSpec):
     """Finite group given by its multiplication table.
 
-    Identity and inverses are verified exhaustively.  Associativity is
-    verified exhaustively up to size 64 and spot-checked on 1000 seeded
-    random triples beyond that.
+    Identity and inverses are verified exhaustively, and associativity by
+    Light's test over a generating set, which is exhaustive too.
     """
 
-    def __init__(self, table: Sequence[Sequence[int]], rng_seed: int = 0):
+    def __init__(self, table: Sequence[Sequence[int]]):
         n = len(table)
         if n == 0:
             raise GroupSpecError("empty multiplication table")
@@ -150,7 +148,7 @@ class TableSpec(GroupSpec):
         self.table = tuple(rows)
         self.identity_idx = self._find_identity()
         self.inv = self._find_inverses()
-        self._check_associativity(rng_seed)
+        self._check_associativity()
 
     def _find_identity(self):
         for e in range(self.size):
@@ -170,22 +168,34 @@ class TableSpec(GroupSpec):
                 raise GroupSpecError(f"element {i} has no inverse")
         return tuple(inv)
 
-    def _check_associativity(self, rng_seed):
-        n = self.size
+    def _check_associativity(self):
+        """Light's test: (x·a)·y == x·(a·y) for all x, y and each generator a.
+
+        Generators are picked greedily until the right-multiplication closure
+        of the identity covers the table; the elements that pass are closed
+        under products, so passing generators make the table associative.
+        """
         t = self.table
-        if n <= 64:
-            for a in range(n):
-                for b in range(n):
-                    tab = t[a][b]
-                    for c in range(n):
-                        if t[tab][c] != t[a][t[b][c]]:
-                            raise GroupSpecError(f"associativity fails at ({a}, {b}, {c})")
-        else:
-            rng = random.Random(rng_seed)
-            for _ in range(1000):
-                a, b, c = (rng.randrange(n) for _ in range(3))
-                if t[t[a][b]][c] != t[a][t[b][c]]:
-                    raise GroupSpecError(f"associativity fails at ({a}, {b}, {c})")
+        gens: list[int] = []
+        reached = {self.identity_idx}
+        for g in range(self.size):
+            if g in reached:
+                continue
+            gens.append(g)
+            stack = list(reached)
+            while stack:
+                row = t[stack.pop()]
+                for a in gens:
+                    if row[a] not in reached:
+                        reached.add(row[a])
+                        stack.append(row[a])
+        for a in gens:
+            ta = t[a]
+            for x, row in enumerate(t):
+                xa = t[row[a]]
+                for y in range(self.size):
+                    if xa[y] != row[ta[y]]:
+                        raise GroupSpecError(f"associativity fails at ({x}, {a}, {y})")
 
     def __repr__(self):
         return f"TableSpec(size={self.size})"
@@ -485,11 +495,14 @@ class CayleyBall:
     """The radius-R ball around the identity in a Cayley graph.
 
     Vertex 0 is the identity; elements[v] is the group element at vertex v
-    and norms[v] its distance from the identity.  The graph is the subgraph
-    induced on the ball, so distances between two vertices u, v are exact
-    whenever norms[u] + norms[v] <= radius (every group geodesic between
-    such a pair stays inside the ball); complete balls, where the whole
-    group was reached, are exact everywhere.
+    and norms[v] its distance from the identity.  steps records the
+    generator action: steps[i][u] is the vertex of elements[u]·s_i for the
+    i-th generator s_i of genset, or -1 when that product lies outside the
+    ball, which happens only when norms[u] == radius.  The graph is the
+    subgraph induced on the ball, so distances between two vertices u, v
+    are exact whenever norms[u] + norms[v] <= radius (every group geodesic
+    between such a pair stays inside the ball); complete balls, where the
+    whole group was reached, are exact everywhere.
     """
 
     spec: GroupSpec
@@ -500,6 +513,7 @@ class CayleyBall:
     index: dict[Element, int]
     norms: list[int]
     complete: bool
+    steps: list[list[int]]
 
     @property
     def vertex_count(self) -> int:
@@ -525,15 +539,22 @@ class CayleyBall:
         return len(self.elements) / order
 
     def word_of_path(self, vertices: Sequence[int]) -> Word:
-        """Generator labels read along a path of ball vertices."""
-        labels = self.graph.edge_labels or {}
-        out = []
+        """Generator labels read along a path of ball vertices, from steps."""
+        n = self.vertex_count
+        if vertices and not (0 <= min(vertices) and max(vertices) < n):
+            raise ValueError(f"path leaves the ball's vertices 0..{n - 1}")
+        moves = list(zip(self.genset.labels, self.steps))
+        label, row = moves[0]
+        word = []
         for u, v in zip(vertices, vertices[1:]):
-            label = labels.get((u, v))
-            if label is None:
-                raise ValueError(f"no edge between ball vertices {u} and {v}")
-            out.append(label)
-        return tuple(out)
+            if row[u] != v:  # runs of one generator are common, so try it first
+                for label, row in moves:
+                    if row[u] == v:
+                        break
+                else:
+                    raise ValueError(f"no edge between ball vertices {u} and {v}")
+            word.append(label)
+        return tuple(word)
 
 
 def cayley_ball(
@@ -541,9 +562,11 @@ def cayley_ball(
 ) -> CayleyBall:
     """Breadth-first closure of the identity under the generating set.
 
-    budget caps the number of vertices (default 10^6, overridable via the
-    GEODETIC_BALL_BUDGET environment variable); exceeding it raises
-    BallBudgetError before memory runs away.
+    Each vertex is multiplied by each generator exactly once, and the
+    products are recorded in CayleyBall.steps.  budget caps the number of
+    vertices (default 10^6, overridable via the GEODETIC_BALL_BUDGET
+    environment variable); exceeding it raises BallBudgetError before
+    memory runs away.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -553,46 +576,24 @@ def cayley_ball(
     elements: list[Element] = [identity]
     index: dict[Element, int] = {identity: 0}
     norms = [0]
-    complete = False
-    frontier = [0]
-    for layer in range(1, radius + 1):
-        new: list[int] = []
-        for u in frontier:
-            gu = elements[u]
-            for label, s in genset.items():
-                h = spec.multiply(gu, s)
-                if h not in index:
-                    if len(elements) >= budget:
-                        raise BallBudgetError(
-                            f"ball exceeds the {budget}-vertex budget at radius {layer}"
-                        )
-                    index[h] = len(elements)
-                    elements.append(h)
-                    norms.append(layer)
-                    new.append(index[h])
-        if not new:
-            complete = True
-            break
-        frontier = new
-    if not complete and spec.order() == len(elements):
-        complete = True
-    edges = []
-    edge_labels: dict[tuple[int, int], str] = {}
-    for u, gu in enumerate(elements):
-        for label, s in genset.items():
-            v = index.get(spec.multiply(gu, s))
-            if v is None:
-                continue
-            edge_labels[(u, v)] = label
-            if u < v:
-                edges.append((u, v))
-    graph = build_graph(
-        edges,
-        len(elements),
-        vertex_labels=[spec.format_element(e) for e in elements],
-        edge_labels=edge_labels,
-    )
-    return CayleyBall(spec, genset, radius, graph, elements, index, norms, complete)
+    steps: list[list[int]] = [[] for _ in genset.elements]
+    for u, gu in enumerate(elements):  # elements grows while it is read
+        layer = norms[u] + 1
+        for row, s in zip(steps, genset.elements):
+            h = spec.multiply(gu, s)
+            v = index.get(h, -1)
+            if v < 0 and layer <= radius:
+                if len(elements) >= budget:
+                    raise BallBudgetError(
+                        f"ball exceeds the {budget}-vertex budget at radius {layer}"
+                    )
+                v = index[h] = len(elements)
+                elements.append(h)
+                norms.append(layer)
+            row.append(v)
+    complete = max(norms) < radius or spec.order() == len(elements)
+    graph = Graph(len(elements), [[v for v in nbrs if v >= 0] for nbrs in zip(*steps)])
+    return CayleyBall(spec, genset, radius, graph, elements, index, norms, complete, steps)
 
 
 def element_norm(ball: CayleyBall, g: Element) -> int:

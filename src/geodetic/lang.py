@@ -9,7 +9,9 @@ stabilize, and scans ball centralisers.
 Everything here only trusts the ball as far as it is exact: any word of
 length <= R evaluates inside the radius-R ball, and all geodesics from the
 identity to a ball member stay inside, so no query silently leaves the
-trusted region.
+trusted region.  Words are read by walking CayleyBall.steps from vertex
+to vertex; every step starts at a vertex of norm < R, so no walk meets a
+-1.  Only power_language and centraliser_in_ball multiply elements.
 """
 
 from __future__ import annotations
@@ -56,14 +58,14 @@ def is_geodesic_word(ball: CayleyBall, w: Word) -> bool:
         raise BallRangeError(
             f"word of length {len(w)} exceeds the ball radius {ball.radius}"
         )
-    lookup = dict(ball.genset.items())
-    g = ball.spec.identity()
+    rows = dict(zip(ball.genset.labels, ball.steps))
+    v = 0
     for letter in w:
-        s = lookup.get(letter)
-        if s is None:
+        row = rows.get(letter)
+        if row is None:
             raise ValueError(f"letter {letter!r} is not a generator label")
-        g = ball.spec.multiply(g, s)
-    return ball.norms[ball.vertex_of(g)] == len(w)
+        v = row[v]
+    return ball.norms[v] == len(w)
 
 
 def minimal_forbidden_factors(ball: CayleyBall, e: int) -> ForbiddenSet:
@@ -77,20 +79,18 @@ def minimal_forbidden_factors(ball: CayleyBall, e: int) -> ForbiddenSet:
         raise ValueError("e must be at least 1")
     if e > ball.radius:
         raise BallRangeError(f"e={e} exceeds the ball radius {ball.radius}")
-    letters = sorted(ball.genset.labels)
-    lookup = dict(ball.genset.items())
-    spec = ball.spec
+    moves = sorted(zip(ball.genset.labels, ball.steps))
     forbidden: list[Word] = []
-    layer: list[tuple[Word, Element]] = [(EMPTY_WORD, spec.identity())]
+    layer: list[tuple[Word, int]] = [(EMPTY_WORD, 0)]
     for length in range(1, e + 1):
         prev_words = {w for w, _ in layer}
-        new_layer: list[tuple[Word, Element]] = []
-        for w, g in layer:
-            for letter in letters:
+        new_layer: list[tuple[Word, int]] = []
+        for w, u in layer:
+            for letter, row in moves:
                 x = w + (letter,)
-                h = spec.multiply(g, lookup[letter])
-                if ball.norms[ball.vertex_of(h)] == length:
-                    new_layer.append((x, h))
+                v = row[u]
+                if ball.norms[v] == length:
+                    new_layer.append((x, v))
                 elif x[1:] in prev_words:
                     forbidden.append(x)
         layer = new_layer
@@ -222,32 +222,30 @@ def check_locally_excluding(
         raise ValueError("test_len must be nonnegative")
     if test_len > ball.radius:
         raise BallRangeError(f"test_len={test_len} exceeds the ball radius {ball.radius}")
-    letters = sorted(ball.genset.labels)
-    automaton = build_factor_automaton(forbidden, letters)
-    spec = ball.spec
-    lookup = dict(ball.genset.items())
+    moves = sorted(zip(ball.genset.labels, ball.steps))
+    automaton = build_factor_automaton(forbidden, ball.genset.labels)
     if automaton.start == automaton.dead:
         # λ is forbidden yet geodesic.
         return False, EMPTY_WORD
-    queue: deque[tuple[Word, Element, int]] = deque()
-    queue.append((EMPTY_WORD, spec.identity(), automaton.start))
+    queue: deque[tuple[Word, int, int]] = deque()
+    queue.append((EMPTY_WORD, 0, automaton.start))
     while queue:
-        w, g, state = queue.popleft()
+        w, u, state = queue.popleft()
         if len(w) == test_len:
             continue
         length = len(w) + 1
-        for letter in letters:
+        for letter, row in moves:
             x = w + (letter,)
-            h = spec.multiply(g, lookup[letter])
+            v = row[u]
             st = automaton.step(state, letter)
-            geodesic = ball.norms[ball.vertex_of(h)] == length
+            geodesic = ball.norms[v] == length
             excluded = st == automaton.dead
             if geodesic and excluded:
                 return False, x
             if not geodesic and not excluded:
                 return False, x
             if geodesic:
-                queue.append((x, h, st))
+                queue.append((x, v, st))
     return True, None
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from geodetic.graphs import Graph
+from geodetic.graphs import Graph, build_graph
+from geodetic.groups import BallBudgetError
 
 
 def dfs_walks_of_length(g: Graph, u: int, v: int, n: int) -> list[tuple[int, ...]]:
@@ -96,3 +97,49 @@ def first_violator(rows, k: int) -> Optional[tuple[int, int]]:
         if count > k:
             return (u, v)
     return None
+
+
+def two_pass_ball(spec, genset, radius: int, budget: int):
+    """(elements, norms, complete, graph, edge_labels) of the radius ball.
+
+    The layer-by-layer closure first, then a second pass that multiplies
+    every element by every generator again to find the edges; edge_labels
+    maps a directed vertex pair (u, v) to the label of the generator s with
+    elements[u]·s = elements[v].
+    """
+    identity = spec.identity()
+    elements = [identity]
+    index = {identity: 0}
+    norms = [0]
+    complete = False
+    frontier = [0]
+    for layer in range(1, radius + 1):
+        new = []
+        for u in frontier:
+            for _, s in genset.items():
+                h = spec.multiply(elements[u], s)
+                if h not in index:
+                    if len(elements) >= budget:
+                        raise BallBudgetError(
+                            f"ball exceeds the {budget}-vertex budget at radius {layer}"
+                        )
+                    index[h] = len(elements)
+                    elements.append(h)
+                    norms.append(layer)
+                    new.append(index[h])
+        if not new:
+            complete = True
+            break
+        frontier = new
+    if not complete and spec.order() == len(elements):
+        complete = True
+    edges = []
+    edge_labels = {}
+    for u, gu in enumerate(elements):
+        for label, s in genset.items():
+            v = index.get(spec.multiply(gu, s))
+            if v is not None:
+                edge_labels[(u, v)] = label
+                if u < v:
+                    edges.append((u, v))
+    return elements, norms, complete, build_graph(edges, len(elements)), edge_labels

@@ -66,6 +66,48 @@ def test_ball_dot_output(capsys, c6, tmp_path):
     assert dot.read_text().startswith("graph G {")
 
 
+ZXZ2_GROUP = (
+    "group product cyclic 0 cyclic 2\n"
+    "gen a pow 1, pow 0\n"
+    "gen a' pow -1, pow 0\n"
+    "gen f pow 0, pow 1\n"
+    "ball R=2\n"
+)
+ZXZ2_DOT = (
+    "graph G {\n"
+    "  0 [label=\"(1, 1)\"];\n"
+    "  1 [label=\"(a, 1)\"];\n"
+    "  2 [label=\"(a^-1, 1)\"];\n"
+    "  3 [label=\"(1, a)\"];\n"
+    "  4 [label=\"(a^2, 1)\"];\n"
+    "  5 [label=\"(a, a)\"];\n"
+    "  6 [label=\"(a^-2, 1)\"];\n"
+    "  7 [label=\"(a^-1, a)\"];\n"
+    "  0 -- 1 [label=\"a\"];\n"
+    "  0 -- 2 [label=\"a'\"];\n"
+    "  0 -- 3 [label=\"f\"];\n"
+    "  1 -- 4 [label=\"a\"];\n"
+    "  1 -- 5 [label=\"f\"];\n"
+    "  2 -- 6 [label=\"a'\"];\n"
+    "  2 -- 7 [label=\"f\"];\n"
+    "  3 -- 5 [label=\"a\"];\n"
+    "  3 -- 7 [label=\"a'\"];\n"
+    "}\n"
+)
+
+
+def test_ball_dot_golden(capsys, tmp_path):
+    path = tmp_path / "zxz2.grp"
+    path.write_text(ZXZ2_GROUP)
+    dot = tmp_path / "ball.dot"
+    code, out, _ = run(capsys, ["ball", "--group", str(path), "--dot", str(dot)])
+    assert code == 0
+    assert out == "ball: radius=2 vertices=8 edges=9 complete=false\n"
+    assert dot.read_bytes() == ZXZ2_DOT.encode()
+    code, out, _ = run(capsys, ["export-dot", "--group", str(path)])
+    assert code == 0 and out == ZXZ2_DOT
+
+
 def test_check_k_group_golden(capsys, tmp_path):
     path = tmp_path / "z6odd.grp"
     path.write_text(Z6_ODD)

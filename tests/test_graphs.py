@@ -92,6 +92,17 @@ def test_dag_cache_keeps_one_entry_per_source():
     assert set(g._dag_cache) <= set(range(g.vertex_count))
 
 
+def test_is_k_geodetic_reuses_exact_dags():
+    ball = cayley_ball(*z_cross_z2(), 4)
+    g = ball.graph
+    k, _ = min_geodetic_k(g, ball.is_trusted_pair)
+    before = dict(g._dag_cache)
+    assert is_k_geodetic(g, k, ball.is_trusted_pair) == (True, None)
+    assert is_k_geodetic(g, k - 1, ball.is_trusted_pair)[0] is False
+    assert g._dag_cache.keys() == before.keys()
+    assert all(g._dag_cache[s] is dag for s, dag in before.items())
+
+
 @given(st.integers(2, 50), st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_trees_are_1_geodetic(n, seed):

@@ -30,9 +30,16 @@ from geodetic.zoo import (
     z_cross_z2,
 )
 
+from oracles import two_pass_ball
+
 
 def cyclic_table(n):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def table_group(n):
+    spec = TableSpec(cyclic_table(n))
+    return spec, validate_genset(spec, [("g", 1), ("g'", n - 1)])
 
 
 SPECS = [
@@ -130,6 +137,41 @@ def test_table_spec():
         TableSpec([[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # not associative
     with pytest.raises(GroupSpecError):
         TableSpec([[0, 1]])
+
+
+def dihedral_table(n):
+    """D_n of order 2n; index i + n·j stands for r^i s^j."""
+    def mul(x, y):
+        i, a = x % n, x // n
+        k, b = y % n, y // n
+        return (i + (-k if a else k)) % n + n * ((a + b) % 2)
+
+    return [[mul(x, y) for y in range(2 * n)] for x in range(2 * n)]
+
+
+def twisted_table(n):
+    """Z_n x Z_2 (index i + n·j), except that two elements with j = 1 whose
+    residues sum to 1 multiply to one residue further.  Identity and
+    inverses survive, and Light's test passes for the generator 1; only the
+    second generator, n, exposes the failure."""
+    def mul(x, y):
+        i, a = x % n, x // n
+        k, b = y % n, y // n
+        twist = 1 if a and b and (i + k) % n == 1 else 0
+        return (i + k + twist) % n + n * ((a + b) % 2)
+
+    return [[mul(x, y) for y in range(2 * n)] for x in range(2 * n)]
+
+
+def test_table_spec_associativity_is_exhaustive():
+    assert TableSpec(cyclic_table(101)).order() == 101
+    assert TableSpec(dihedral_table(35)).order() == 70
+    broken = cyclic_table(101)
+    broken[3][1], broken[3][2] = broken[3][2], broken[3][1]
+    with pytest.raises(GroupSpecError, match="associativity fails"):
+        TableSpec(broken)
+    with pytest.raises(GroupSpecError, match=r"associativity fails at \(1, 35, 35\)"):
+        TableSpec(twisted_table(35))
 
 
 def test_product_spec():
@@ -275,6 +317,55 @@ def test_completeness_via_empty_layer():
     z2 = cyclic_with_step(2)
     ball2 = cayley_ball(z2[0], z2[1], 5)
     assert ball2.complete and ball2.vertex_count == 2
+
+
+BALL_CASES = [
+    (free_group(2), 0, None),
+    (free_group(2), 1, None),
+    (free_group(2), 4, None),
+    (free_group(2), 4, 100),
+    (z2_star_z2(), 7, None),
+    (plain_group(0, (2, 3)), 9, None),
+    (plain_group(1, (3,)), 4, None),
+    (infinite_cyclic(), 0, None),
+    (infinite_cyclic(), 30, None),
+    (z_cross_z2(), 5, None),
+    (cyclic_odd_powers(3), 5, None),
+    (cyclic_odd_powers(3), 5, 5),
+    (cyclic_with_step(7), 0, None),
+    (cyclic_with_step(7), 2, None),
+    (cyclic_with_step(7), 3, None),
+    (cyclic_with_step(2), 4, None),
+    (table_group(5), 3, None),
+]
+
+
+@pytest.mark.parametrize("group, radius, budget", BALL_CASES)
+def test_cayley_ball_matches_two_pass_oracle(group, radius, budget):
+    spec, gens = group
+    budget = 10**6 if budget is None else budget
+    try:
+        want = two_pass_ball(spec, gens, radius, budget)
+    except BallBudgetError as exc:
+        with pytest.raises(BallBudgetError) as got:
+            cayley_ball(spec, gens, radius, budget=budget)
+        assert str(got.value) == str(exc)
+        return
+    elements, norms, complete, graph, edge_labels = want
+    calls = []
+    multiply = spec.multiply
+    spec.multiply = lambda a, b: calls.append(1) or multiply(a, b)
+    try:
+        ball = cayley_ball(spec, gens, radius, budget=budget)
+    finally:
+        del spec.multiply
+    assert len(calls) == ball.vertex_count * len(gens)
+    assert ball.elements == elements
+    assert ball.norms == norms
+    assert ball.complete == complete
+    assert ball.graph.adj == graph.adj
+    for (u, v), label in edge_labels.items():
+        assert ball.word_of_path((u, v)) == (label,)
 
 
 def test_word_of_path_and_word_to_element():

@@ -20,6 +20,7 @@ from geodetic.lang import (
     parse_forbidden_file,
     power_report_lines,
 )
+from geodetic.groups import word_to_element
 from geodetic.words import parse_word
 from geodetic.zoo import free_group, infinite_cyclic, z_cross_z2
 
@@ -47,6 +48,25 @@ def test_is_geodesic_word(z4_r4):
 def test_is_geodesic_word_free_reduction(free2_r4):
     assert not is_geodesic_word(free2_r4, ("a", "a'"))
     assert is_geodesic_word(free2_r4, ("a", "b", "a"))
+
+
+@pytest.mark.parametrize("group, radius", [(free_group(2), 4), (z_cross_z2(), 5)])
+def test_language_walks_read_the_ball_steps(group, radius, monkeypatch):
+    spec, gens = group
+    ball = cayley_ball(spec, gens, radius)
+    letters = sorted(gens.labels)
+    words = list(words_up_to(letters, radius))
+    want = [ball.norms[ball.vertex_of(word_to_element(spec, gens, w))] == len(w) for w in words]
+    forbidden = minimal_forbidden_factors(ball, radius)
+
+    def boom(*args):
+        raise AssertionError("language walks must read ball.steps")
+
+    monkeypatch.setattr(spec, "multiply", boom)
+    monkeypatch.setattr(ball, "vertex_of", boom)
+    assert [is_geodesic_word(ball, w) for w in words] == want
+    assert minimal_forbidden_factors(ball, radius) == forbidden
+    assert check_locally_excluding(ball, forbidden, radius) == (True, None)
 
 
 def test_minimal_forbidden_factors_free2(free2_r4):
