@@ -6,6 +6,13 @@ with d_i = m and c_m counts indices with 1 <= d_i <= m.  A pair is
 asynchronously disjoint when p1(i) != p2(j) for every pair of DISTINCT
 indices (same-index meetings are allowed), and a ladder-like structure of
 width m and height r is an asynchronously disjoint pair with a_m = r.
+
+One kernel computes these statistics from prepared walks: a walk carries
+the BFS distance row of each of its vertices, a vertex -> index map and its
+directed and indexed edges, so comparing two walks reads no DAG.  The public
+pair_stats validates and prepares its two walks per call; the ladder scan
+prepares each enumerated geodesic once and runs the kernel only on the
+pairs that pass the disjointness test.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from .graphs import (
     Graph,
     PathSeq,
     UNREACHED,
+    UnreachablePairError,
     enumerate_geodesics,
 )
 from .groups import CayleyBall
@@ -72,6 +80,53 @@ class PairStats:
     synchronously_co_travelling: bool
 
 
+class _Walk:
+    """A walk prepared once for the pair kernel.
+
+    rows[i] is the BFS distance row of vertex i of the walk, at maps each
+    vertex to its index (-1 when the vertex repeats), edges holds the
+    directed edges (a, b) and steps the indexed edges (i, a, b).
+    """
+
+    __slots__ = ("path", "rows", "at", "edges", "steps")
+
+    def __init__(self, g: Graph, path: PathSeq):
+        vs = path.vertices
+        at: dict[int, int] = {}
+        for i, v in enumerate(vs):
+            at[v] = -1 if v in at else i
+        edges = tuple(zip(vs, vs[1:]))
+        self.path = path
+        self.rows = [g.dag(a).dist for a in vs]
+        self.at = at
+        self.edges = frozenset(edges)
+        self.steps = frozenset((i, a, b) for i, (a, b) in enumerate(edges))
+
+
+def _disjoint(w1: _Walk, w2: _Walk) -> bool:
+    """Asynchronous disjointness: every shared vertex sits once in each walk, at one index."""
+    at1, at2 = w1.at, w2.at
+    for v in at1.keys() & at2.keys():
+        i = at1[v]
+        if i < 0 or i != at2[v]:
+            return False
+    return True
+
+
+def _pair_kernel(w1: _Walk, w2: _Walk, m: int, disjoint: bool) -> PairStats:
+    """PairStats of two prepared equal-length walks whose disjointness is known."""
+    p2 = w2.path.vertices
+    distances = tuple(map(list.__getitem__, w1.rows, p2))
+    if UNREACHED in distances:
+        i = distances.index(UNREACHED)
+        raise UnreachablePairError(f"no path between vertices {w1.path[i]} and {p2[i]}")
+    a_m = distances.count(m)
+    c_m = sum(1 for d in distances if 1 <= d <= m)
+    co = not w1.edges.isdisjoint(w2.edges)
+    sync = co and not w1.steps.isdisjoint(w2.steps)
+    return PairStats(m, distances, a_m, c_m, disjoint, co, sync)
+
+
 def pair_stats(g: Graph, p1: PathSeq, p2: PathSeq, m: int) -> PairStats:
     """Distances, a_m / c_m counters and the meeting flags for an equal-length pair."""
     if m < 1:
@@ -82,33 +137,8 @@ def pair_stats(g: Graph, p1: PathSeq, p2: PathSeq, m: int) -> PairStats:
         raise ValueError(
             f"paths have different lengths ({p1.length} vs {p2.length}); pad first if intended"
         )
-    distances = [g.dist(a, b) for a, b in zip(p1.vertices, p2.vertices)]
-    a_m = sum(1 for d in distances if d == m)
-    c_m = sum(1 for d in distances if 1 <= d <= m)
-
-    positions: dict[int, list[int]] = {}
-    for j, v in enumerate(p2.vertices):
-        positions.setdefault(v, []).append(j)
-    disjoint = True
-    for i, v in enumerate(p1.vertices):
-        for j in positions.get(v, ()):
-            if j != i:
-                disjoint = False
-                break
-        if not disjoint:
-            break
-
-    edges2 = {}
-    for j in range(p2.length):
-        edges2.setdefault((p2[j], p2[j + 1]), []).append(j)
-    co = False
-    sync = False
-    for i in range(p1.length):
-        for j in edges2.get((p1[i], p1[i + 1]), ()):
-            co = True
-            if j == i:
-                sync = True
-    return PairStats(m, tuple(distances), a_m, c_m, disjoint, co, sync)
+    w1, w2 = _Walk(g, p1), _Walk(g, p2)
+    return _pair_kernel(w1, w2, m, _disjoint(w1, w2))
 
 
 def ladder_bound_A(m: int, k: int) -> int:
@@ -201,7 +231,11 @@ def iter_disjoint_pairs(
     lexicographically, each geodesic directed from the smaller endpoint),
     bucketed by length, and paired within each bucket, so the two geodesics
     of a pair may join different endpoint pairs.  Zero-length geodesics are
-    skipped.  Consume via find_ladders for the bound bookkeeping.
+    skipped.  Each geodesic of a bucket is prepared once, before the pairing;
+    a pair costs one disjointness test over the shared vertices, and only a
+    disjoint pair gets its distances and flags from the kernel.  The
+    geodesics come from enumeration, so no pair is validated again.
+    Consume via find_ladders for the bound bookkeeping.
     """
     scan = LadderScan()
     yield from _scan_disjoint_pairs(host, m, scope or SearchScope(), scan)
@@ -222,16 +256,17 @@ def _scan_disjoint_pairs(host, m, scope, scan):
             scan.scope_exhausted = True
         buckets.setdefault(d, []).append(geos)
     for d in sorted(buckets):
-        flat = [p for group in buckets[d] for p in group]
-        for i in range(len(flat)):
-            for j in range(i + 1, len(flat)):
+        walks = [_Walk(g, p) for group in buckets[d] for p in group]
+        for i, w1 in enumerate(walks):
+            for w2 in walks[i + 1 :]:
                 if scan.geodesic_pairs_scanned >= scope.max_geodesic_pairs:
                     scan.scope_exhausted = True
                     return
                 scan.geodesic_pairs_scanned += 1
-                stats = pair_stats(g, flat[i], flat[j], m)
-                if stats.asynchronously_disjoint:
-                    yield flat[i], flat[j], stats
+                # Walks that share a vertex lie in one component, so a pair
+                # skipped here cannot hold an unreachable index.
+                if _disjoint(w1, w2):
+                    yield w1.path, w2.path, _pair_kernel(w1, w2, m, True)
 
 
 def find_ladders(

@@ -525,9 +525,6 @@ class CayleyBall:
             raise ValueError(f"element {self.spec.format_element(g)} is outside the ball")
         return v
 
-    def element_of(self, v: int) -> Element:
-        return self.elements[v]
-
     def is_trusted_pair(self, u: int, v: int) -> bool:
         """Whether ball distances and geodesics between u and v match the group's."""
         return self.complete or self.norms[u] + self.norms[v] <= self.radius

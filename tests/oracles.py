@@ -2,14 +2,25 @@
 
 Everything here favors obviousness over speed: plain depth-first search,
 divisor scans, and direct membership checks, free of the library's own
-algorithms so that agreement actually means something.
+algorithms so that agreement actually means something.  The ladder-scan
+oracle reuses the library's vertex-pair scope and geodesic enumeration and
+replaces only the pair statistics.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from geodetic.graphs import Graph, build_graph
+from geodetic.geometry import (
+    LadderReport,
+    LadderScan,
+    PairStats,
+    _graph_and_filter,
+    _scoped_vertex_pairs,
+    ladder_bound_A,
+    validate_path,
+)
+from geodetic.graphs import Graph, build_graph, enumerate_geodesics
 from geodetic.groups import BallBudgetError
 
 
@@ -143,3 +154,84 @@ def two_pass_ball(spec, genset, radius: int, budget: int):
                 if u < v:
                     edges.append((u, v))
     return elements, norms, complete, build_graph(edges, len(elements)), edge_labels
+
+
+def naive_pair_stats(g: Graph, p1, p2, m: int) -> PairStats:
+    """pair_stats the slow way: validate, then compare index by index.
+
+    Every distance goes through Graph.dist, and the meeting flags come from
+    position lists of the second walk.
+    """
+    if m < 1:
+        raise ValueError("width m must be at least 1")
+    validate_path(g, p1)
+    validate_path(g, p2)
+    if p1.length != p2.length:
+        raise ValueError(
+            f"paths have different lengths ({p1.length} vs {p2.length}); pad first if intended"
+        )
+    distances = [g.dist(a, b) for a, b in zip(p1.vertices, p2.vertices)]
+    a_m = sum(1 for d in distances if d == m)
+    c_m = sum(1 for d in distances if 1 <= d <= m)
+
+    positions: dict[int, list[int]] = {}
+    for j, v in enumerate(p2.vertices):
+        positions.setdefault(v, []).append(j)
+    disjoint = True
+    for i, v in enumerate(p1.vertices):
+        for j in positions.get(v, ()):
+            if j != i:
+                disjoint = False
+                break
+        if not disjoint:
+            break
+
+    edges2 = {}
+    for j in range(p2.length):
+        edges2.setdefault((p2[j], p2[j + 1]), []).append(j)
+    co = False
+    sync = False
+    for i in range(p1.length):
+        for j in edges2.get((p1[i], p1[i + 1]), ()):
+            co = True
+            if j == i:
+                sync = True
+    return PairStats(m, tuple(distances), a_m, c_m, disjoint, co, sync)
+
+
+def naive_disjoint_pairs(host, m: int, scope, scan: LadderScan):
+    """The ladder scan with naive_pair_stats run on every geodesic pair."""
+    g, pair_filter = _graph_and_filter(host)
+    pairs, skipped, exhausted = _scoped_vertex_pairs(g, scope, pair_filter)
+    scan.skipped_untrusted = skipped
+    scan.scope_exhausted = exhausted
+    buckets: dict[int, list] = {}
+    for d, u, v in pairs:
+        if d == 0:
+            continue
+        scan.pairs_scanned += 1
+        geos, truncated = enumerate_geodesics(g, u, v, limit=scope.max_geodesics)
+        if truncated:
+            scan.scope_exhausted = True
+        buckets.setdefault(d, []).append(geos)
+    for d in sorted(buckets):
+        flat = [p for group in buckets[d] for p in group]
+        for i in range(len(flat)):
+            for j in range(i + 1, len(flat)):
+                if scan.geodesic_pairs_scanned >= scope.max_geodesic_pairs:
+                    scan.scope_exhausted = True
+                    return
+                scan.geodesic_pairs_scanned += 1
+                stats = naive_pair_stats(g, flat[i], flat[j], m)
+                if stats.asynchronously_disjoint:
+                    yield flat[i], flat[j], stats
+
+
+def naive_find_ladders(host, m: int, k_verified: int, scope) -> LadderScan:
+    """find_ladders over naive_disjoint_pairs."""
+    bound = ladder_bound_A(m, k_verified)
+    scan = LadderScan()
+    for p1, p2, stats in naive_disjoint_pairs(host, m, scope, scan):
+        if stats.a_m >= 1:
+            scan.reports.append(LadderReport(p1, p2, m, stats.a_m, bound, stats.a_m <= bound))
+    return scan

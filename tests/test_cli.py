@@ -147,6 +147,15 @@ def test_ladders_c4(capsys, c4):
     assert lines[2] == "scanned: pairs=6 geodesic_pairs=12 skipped=0 exhausted=false"
 
 
+def test_ladders_disconnected_host_error(capsys, tmp_path):
+    # geodesics in different components are disjoint; the scan stops at the
+    # first such pair with the distance error of its first index
+    path = tmp_path / "two.g"
+    path.write_text("graph 6\ne 0 1\ne 1 2\ne 3 4\ne 4 5\n")
+    result = run(capsys, ["ladders", "--graph", str(path), "--m", "1", "--k", "1"])
+    assert result == (2, "", "error: no path between vertices 0 and 3\n")
+
+
 def test_bigons_c4(capsys, c4):
     code, out, _ = run(capsys, ["bigons", "--graph", c4])
     assert code == 0

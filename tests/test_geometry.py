@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from geodetic import (
     PathSeq,
     SearchScope,
+    build_graph,
+    cayley_ball,
     close_bound_C,
     enumerate_bigons,
     enumerate_geodesics,
@@ -13,10 +15,13 @@ from geodetic import (
     fellow_travel_bound,
     find_ladders,
     ladder_bound_A,
+    min_geodetic_k,
     pair_stats,
     shorten_paths,
 )
+from geodetic import geometry, zoo
 from geodetic.geometry import (
+    LadderScan,
     classify_bigon,
     classify_triangle,
     is_geodesic_path,
@@ -24,15 +29,17 @@ from geodetic.geometry import (
     pad,
     validate_path,
 )
+from geodetic.graphs import UnreachablePairError
 from geodetic.zoo import (
     complete_bipartite,
     cycle_graph,
     path_graph,
     petersen_graph,
     random_tree,
+    star_graph,
 )
 
-from oracles import dfs_walks_of_length
+from oracles import dfs_walks_of_length, naive_disjoint_pairs, naive_find_ladders, naive_pair_stats
 
 
 def test_bound_values():
@@ -318,3 +325,125 @@ def test_triangle_side_chain_validation():
     g = cycle_graph(4)
     with pytest.raises(ValueError):
         classify_triangle(g, PathSeq((0, 1)), PathSeq((2, 3)), PathSeq((3, 0)))
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _drain(pairs):
+    """Everything a pair generator yields, then the error that stopped it, if any."""
+    out = []
+    try:
+        for item in pairs:
+            out.append(item)
+    except ValueError as exc:
+        return out, (type(exc), str(exc))
+    return out, None
+
+
+def _two_components():
+    return build_graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)], 7)
+
+
+WALK_HOSTS = [
+    cycle_graph(4),
+    cycle_graph(5),
+    path_graph(4),
+    star_graph(3),
+    complete_bipartite(2, 3),
+    petersen_graph(),
+    _two_components(),
+]
+
+
+def _random_walk(g, rng, n):
+    vs = [rng.randrange(g.vertex_count)]
+    for _ in range(n):
+        vs.append(rng.choice(g.neighbors(vs[-1])))
+    return PathSeq(tuple(vs))
+
+
+@given(st.integers(0, len(WALK_HOSTS) - 1), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_pair_stats_matches_oracle_on_random_walks(host, seed):
+    """Walks with repeats, unequal lengths, non-walks and cross-component pairs."""
+    g = WALK_HOSTS[host]
+    rng = random.Random(seed)
+    for _ in range(25):
+        n = rng.randrange(6)
+        p1 = _random_walk(g, rng, n)
+        p2 = _random_walk(g, rng, n if rng.random() < 0.9 else rng.randrange(6))
+        if rng.random() < 0.05:
+            p2 = PathSeq(p2.vertices[:-1] + (rng.randrange(g.vertex_count),))
+        for m in (0, 1, 2, 3):
+            assert _outcome(pair_stats, g, p1, p2, m) == _outcome(naive_pair_stats, g, p1, p2, m)
+
+
+def _scan_hosts():
+    rng = random.Random(7)
+    hosts = [
+        (cycle_graph(6), 2),
+        (cycle_graph(7), 1),
+        (complete_bipartite(3, 3), 3),
+        (petersen_graph(), 1),
+        (random_tree(12, rng), 1),
+    ]
+    for spec_gens, radius in [
+        (zoo.free_group(2), 3),
+        (zoo.z_cross_z2(), 4),
+        (zoo.cyclic_odd_powers(3), 2),
+        (zoo.plain_group(0, (2, 2)), 5),
+    ]:
+        spec, gens = spec_gens
+        ball = cayley_ball(spec, gens, radius)
+        hosts.append((ball, min_geodetic_k(ball.graph, ball.is_trusted_pair)[0]))
+    return hosts
+
+
+SCAN_SCOPES = [
+    SearchScope(),
+    SearchScope(max_pairs=25),
+    SearchScope(max_geodesic_pairs=30),
+    SearchScope(max_geodesics=2, max_length=2, max_geodesic_pairs=7),
+]
+
+
+def test_ladder_scan_matches_oracle():
+    capped = {"max_pairs": False, "max_geodesic_pairs": False}
+    for host, k in _scan_hosts():
+        for scope in SCAN_SCOPES:
+            for m in (1, 2):
+                got = list(iter_disjoint_pairs(host, m, scope))
+                want = list(naive_disjoint_pairs(host, m, scope, LadderScan()))
+                assert got == want
+                scan = find_ladders(host, m, k, scope)
+                assert scan == naive_find_ladders(host, m, k, scope)
+                capped["max_pairs"] |= scan.scope_exhausted and scan.pairs_scanned == scope.max_pairs
+                capped["max_geodesic_pairs"] |= (
+                    scan.geodesic_pairs_scanned == scope.max_geodesic_pairs
+                )
+    assert all(capped.values())
+
+
+def test_ladder_scan_error_matches_oracle_on_two_components():
+    g = _two_components()
+    for m in (1, 2):
+        got = _drain(iter_disjoint_pairs(g, m))
+        assert got[1] == (UnreachablePairError, "no path between vertices 0 and 3")
+        assert got == _drain(naive_disjoint_pairs(g, m, SearchScope(), LadderScan()))
+
+
+def test_ladder_scan_does_not_validate_pairs(monkeypatch):
+    hosts = _scan_hosts()
+    want = [naive_find_ladders(host, 1, k, SearchScope()) for host, k in hosts]
+
+    def refuse(g, p):
+        raise AssertionError("validate_path called")
+
+    monkeypatch.setattr(geometry, "validate_path", refuse)
+    assert [find_ladders(host, 1, k) for host, k in hosts] == want

@@ -54,6 +54,8 @@ def test_traced_cli_matches_untraced(tmp_path):
     tracer.install()
     try:
         traced = [run_cli(argv) for argv in commands]
+        c5 = graphs.parse_graph(graph.read_text())
+        geometry.pair_stats(c5, graphs.PathSeq((0, 1)), graphs.PathSeq((2, 3)), 1)
     finally:
         tracer.remove()
 
@@ -65,6 +67,7 @@ def test_traced_cli_matches_untraced(tmp_path):
     assert metrics["graphs.bfs_runs"] > 0
     assert metrics["graphs.dag_requests"] > 0
     assert metrics["geometry.pair_stats_calls"] > 0
+    assert metrics["geometry.geodesic_pairs_scanned"] > 0
     spanned = {tracer.names[i] for i in tracer.span_name}
     assert {"cli.main", "groups.cayley_ball", "graphs.min_geodetic_k",
             "geometry.find_ladders"} <= spanned
