@@ -62,7 +62,7 @@ def build_hosts(cfg):
 
 def survey_host(name, host, cfg):
     if hasattr(host, "graph"):
-        k, _ = min_geodetic_k(host.graph, host.is_trusted_pair)
+        k, _ = host.min_geodetic_k()
     else:
         k, _ = min_geodetic_k(host)
     scope = SearchScope(max_pairs=cfg.max_pairs, max_geodesics=cfg.max_geodesics)

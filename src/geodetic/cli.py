@@ -14,7 +14,6 @@ import sys
 
 from .geometry import (
     SearchScope,
-    _graph_and_filter,
     bigon_report_line,
     enumerate_bigons,
     enumerate_triangles,
@@ -101,6 +100,13 @@ def _dot(host) -> str:
     return graph_to_dot(host)
 
 
+def _min_k(host) -> tuple[int, tuple[int, int]]:
+    """Minimal k and witness: one identity BFS on a ball, all pairs on a graph."""
+    if isinstance(host, CayleyBall):
+        return host.min_geodetic_k()
+    return min_geodetic_k(host)
+
+
 def _scope(args) -> SearchScope:
     scope = SearchScope()
     if getattr(args, "scope_pairs", None) is not None:
@@ -131,9 +137,7 @@ def cmd_ball(args) -> int:
 
 
 def cmd_check_k(args) -> int:
-    host = _load_host(args)
-    g, pair_filter = _graph_and_filter(host)
-    min_k, witness = min_geodetic_k(g, pair_filter=pair_filter)
+    min_k, witness = _min_k(_load_host(args))
     ok = min_k <= args.k
     print(f"k-geodetic: {'true' if ok else 'false'} (min k = {min_k})")
     if args.verbose and witness is not None:
@@ -145,9 +149,7 @@ def cmd_check_k(args) -> int:
 
 
 def cmd_min_k(args) -> int:
-    host = _load_host(args)
-    g, pair_filter = _graph_and_filter(host)
-    min_k, witness = min_geodetic_k(g, pair_filter=pair_filter)
+    min_k, witness = _min_k(_load_host(args))
     print(f"min k = {min_k}")
     if args.verbose and witness is not None:
         u, v = witness
@@ -157,11 +159,7 @@ def cmd_min_k(args) -> int:
 
 def cmd_ladders(args) -> int:
     host = _load_host(args)
-    g, pair_filter = _graph_and_filter(host)
-    if args.k is not None:
-        k = args.k
-    else:
-        k, _ = min_geodetic_k(g, pair_filter=pair_filter)
+    k = args.k if args.k is not None else _min_k(host)[0]
     scan = find_ladders(host, args.m, k, _scope(args))
     print(f"ladders: m={args.m} k={k} bound={ladder_bound_A(args.m, k)} found={len(scan.reports)}")
     for report in scan.reports:

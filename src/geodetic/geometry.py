@@ -159,10 +159,10 @@ def close_bound_C(m: int, k: int) -> int:
 class SearchScope:
     """Caps for the scoped searches; None disables a cap."""
 
-    max_pairs: int = 2000
-    max_geodesics: int = 50
+    max_pairs: Optional[int] = 2000
+    max_geodesics: Optional[int] = 50
     max_length: Optional[int] = None
-    max_geodesic_pairs: int = 200_000
+    max_geodesic_pairs: Optional[int] = 200_000
 
 
 @dataclass(frozen=True)
@@ -255,11 +255,12 @@ def _scan_disjoint_pairs(host, m, scope, scan):
         if truncated:
             scan.scope_exhausted = True
         buckets.setdefault(d, []).append(geos)
+    cap = scope.max_geodesic_pairs
     for d in sorted(buckets):
         walks = [_Walk(g, p) for group in buckets[d] for p in group]
         for i, w1 in enumerate(walks):
             for w2 in walks[i + 1 :]:
-                if scan.geodesic_pairs_scanned >= scope.max_geodesic_pairs:
+                if cap is not None and scan.geodesic_pairs_scanned >= cap:
                     scan.scope_exhausted = True
                     return
                 scan.geodesic_pairs_scanned += 1
@@ -449,7 +450,7 @@ def enumerate_triangles(
                     pair_filter(x, y) and pair_filter(y, z) and pair_filter(x, z)
                 ):
                     continue
-                if triples >= scope.max_pairs:
+                if scope.max_pairs is not None and triples >= scope.max_pairs:
                     return out
                 triples += 1
                 alphas, _ = enumerate_geodesics(g, x, y, limit=scope.max_geodesics)

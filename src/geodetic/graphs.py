@@ -280,6 +280,39 @@ def _pair_counts(
                 yield (dist[v], u, v, counts[v])
 
 
+def min_k_of_rows(
+    rows: Iterable[tuple[int, int, int, int]], count_cap: Optional[int] = None
+) -> tuple[int, tuple[int, int]]:
+    """Largest count among (dist, u, v, count) rows, with its pair.
+
+    Ties go to the first row in (dist, u, v) order.  A count at count_cap
+    is saturated, so the true maximum is unknown and SaturationError is
+    raised.
+    """
+    best = min(rows, key=lambda r: (-r[3], r[0], r[1], r[2]), default=None)
+    if best is None:
+        raise ValueError("no admitted vertex pairs")
+    _, u, v, k = best
+    if count_cap is not None and k >= count_cap:
+        raise SaturationError(f"min geodetic k is at least {count_cap}")
+    return k, (u, v)
+
+
+def k_geodetic_of_rows(
+    rows: Iterable[tuple[int, int, int, int]], k: int
+) -> tuple[bool, Optional[tuple[int, int]]]:
+    """Whether no (dist, u, v, count) row has count > k, else the first such pair.
+
+    "First" is in (dist, u, v) order.  k is checked before any row is read.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    violator = min((r for r in rows if r[3] > k), default=None)
+    if violator is None:
+        return True, None
+    return False, (violator[1], violator[2])
+
+
 def min_geodetic_k(
     g: Graph,
     pair_filter: Optional[Callable[[int, int], bool]] = None,
@@ -290,18 +323,13 @@ def min_geodetic_k(
     The witness is the first maximising pair when pairs are ordered by
     (distance, u, v).  The diagonal is skipped except on a single-vertex
     graph, where the answer is 1 with witness (0, 0).
+
+    This is the all-pairs path: one BFS per vertex and n^2/2 pairs.  On a
+    Cayley ball, CayleyBall.min_geodetic_k gets the same answer from the
+    identity BFS alone; this function, called with ball.is_trusted_pair as
+    the filter, is its oracle.
     """
-    best = min(
-        _pair_counts(g, pair_filter, count_cap),
-        key=lambda r: (-r[3], r[0], r[1], r[2]),
-        default=None,
-    )
-    if best is None:
-        raise ValueError("no admitted vertex pairs")
-    _, u, v, k = best
-    if count_cap is not None and k >= count_cap:
-        raise SaturationError(f"min geodetic k is at least {count_cap}")
-    return k, (u, v)
+    return min_k_of_rows(_pair_counts(g, pair_filter, count_cap), count_cap)
 
 
 def is_k_geodetic(
@@ -312,14 +340,10 @@ def is_k_geodetic(
     Counts are exact and read from the shared DAG cache, so a call after an
     uncapped min_geodetic_k on the same graph runs no BFS.  On failure the
     counterexample is the first violating pair in (distance, u, v) order.
+    On a Cayley ball, CayleyBall.is_k_geodetic is the one-BFS path and this
+    function its oracle.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    rows = _pair_counts(g, pair_filter, count_cap=None)
-    violator = min((r for r in rows if r[3] > k), default=None)
-    if violator is None:
-        return True, None
-    return False, (violator[1], violator[2])
+    return k_geodetic_of_rows(_pair_counts(g, pair_filter, count_cap=None), k)
 
 
 def is_complete_bipartite(g: Graph) -> Optional[tuple[int, int]]:

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .graphs import Graph
+from .graphs import Graph, k_geodetic_of_rows, min_k_of_rows
 from .words import Alphabet, Word
 
 Element = Union[int, tuple]
@@ -503,6 +503,12 @@ class CayleyBall:
     are exact whenever norms[u] + norms[v] <= radius (every group geodesic
     between such a pair stays inside the ball); complete balls, where the
     whole group was reached, are exact everywhere.
+
+    min_geodetic_k and is_k_geodetic are the fast path for geodesic counts
+    over trusted pairs: they read the identity BFS alone.  The all-pairs
+    functions of the same names in graphs, called on ball.graph with
+    ball.is_trusted_pair as the filter, give the same answers and are
+    their oracle.
     """
 
     spec: GroupSpec
@@ -528,6 +534,41 @@ class CayleyBall:
     def is_trusted_pair(self, u: int, v: int) -> bool:
         """Whether ball distances and geodesics between u and v match the group's."""
         return self.complete or self.norms[u] + self.norms[v] <= self.radius
+
+    def _identity_rows(self):
+        """(dist, 0, w, count) rows standing for every trusted pair.
+
+        Left translation by u^-1 maps the geodesics from u to v onto those
+        from 1 to w = u^-1 v, and |w| = d(u, v) <= |u| + |v|, so for a
+        trusted pair w lies in the ball and count(u, v) = count(0, w); every
+        geodesic from 1 to w stays within norm |w|, so the identity BFS
+        counts it exactly.  On a complete ball the graph is the whole,
+        vertex-transitive Cayley graph.  So every trusted pair has a row
+        with its distance and count, and u = 0 is the least u: the first
+        row in (dist, 0, w) order with a given count is the first such pair
+        in (dist, u, v) order.
+        """
+        n = self.vertex_count
+        if n == 1:
+            return [(0, 0, 0, 1)]
+        dag = self.graph.dag(0)
+        return ((dag.dist[w], 0, w, dag.counts[w]) for w in range(1, n))
+
+    def min_geodetic_k(self) -> tuple[int, tuple[int, int]]:
+        """Smallest k with at most k geodesics per trusted pair, with a witness.
+
+        The same value and witness as graphs.min_geodetic_k(ball.graph,
+        ball.is_trusted_pair), from one BFS at the identity.
+        """
+        return min_k_of_rows(self._identity_rows())
+
+    def is_k_geodetic(self, k: int) -> tuple[bool, Optional[tuple[int, int]]]:
+        """Whether every trusted pair has at most k geodesics, else the first violator.
+
+        The same verdict and pair as graphs.is_k_geodetic(ball.graph, k,
+        ball.is_trusted_pair), from one BFS at the identity.
+        """
+        return k_geodetic_of_rows(self._identity_rows(), k)
 
     def reached_fraction(self) -> Optional[float]:
         order = self.spec.order()

@@ -1,7 +1,7 @@
 import pytest
 
 from geodetic import cli
-from geodetic.graphs import graph_to_dot, parse_graph
+from geodetic.graphs import Graph, graph_to_dot, parse_graph
 from geodetic.lang import parse_forbidden_file
 
 C6_GROUP = "group cyclic 6\ngen a pow 1\ngen a' pow 5\nball R=3\n"
@@ -129,6 +129,54 @@ def test_check_k_verbose_witness(capsys, c4):
     code, out, _ = run(capsys, ["check-k", "--graph", c4, "--k", "1", "--verbose"])
     assert code == 0
     assert out.splitlines()[1] == "witness: 2 geodesics between vertices 0 and 2"
+
+
+# (group file, min-k --verbose output), captured from the all-pairs scan.
+IDENTITY_BFS_CASES = [
+    (ZXZ2_GROUP, "min k = 2\nwitness: 2 geodesics between vertices 0 and 5\n"),
+    (Z2Z2_GROUP, "min k = 1\nwitness: 1 geodesics between vertices 0 and 1\n"),
+    (Z6_ODD, "min k = 3\nwitness: 3 geodesics between vertices 0 and 4\n"),
+]
+
+
+@pytest.mark.parametrize("text, expected", IDENTITY_BFS_CASES, ids=["zxz2", "z2z2", "z6-odd"])
+def test_min_k_and_check_k_on_a_ball_read_only_the_identity_bfs(
+    capsys, tmp_path, monkeypatch, text, expected
+):
+    path = tmp_path / "host.grp"
+    path.write_text(text)
+    original = Graph.dag
+
+    def identity_only(self, source, count_cap=None):
+        if source != 0:
+            raise AssertionError(f"BFS from vertex {source}")
+        return original(self, source, count_cap)
+
+    monkeypatch.setattr(Graph, "dag", identity_only)
+    assert run(capsys, ["min-k", "--group", str(path), "--verbose"]) == (0, expected, "")
+    min_k_line, witness_line = expected.splitlines()
+    k = int(min_k_line.split()[-1])
+    for j, verdict in ((k, "true"), (k - 1, "false")):
+        if j < 1:
+            continue
+        code, out, err = run(
+            capsys, ["check-k", "--group", str(path), "--k", str(j), "--verbose", "--expect", "true"]
+        )
+        assert (code, err) == (0 if verdict == "true" else 1, "")
+        assert out == f"k-geodetic: {verdict} (min k = {k})\n{witness_line}\n"
+
+
+def test_min_k_and_check_k_on_a_large_ball(capsys, tmp_path):
+    # 10,001 vertices: the all-pairs scan would hold 10^8 distances.
+    path = tmp_path / "z.grp"
+    path.write_text(Z_GROUP)
+    witness = "witness: 1 geodesics between vertices 0 and 1\n"
+    code, out, err = run(capsys, ["min-k", "--group", str(path), "--radius", "5000", "--verbose"])
+    assert (code, out, err) == (0, "min k = 1\n" + witness, "")
+    code, out, err = run(
+        capsys, ["check-k", "--group", str(path), "--radius", "5000", "--k", "1", "--verbose"]
+    )
+    assert (code, out, err) == (0, "k-geodetic: true (min k = 1)\n" + witness, "")
 
 
 def test_min_k_tree(capsys, tmp_path):

@@ -176,6 +176,17 @@ def test_find_ladders_scope_exhaustion():
     assert scan.pairs_scanned <= 2
 
 
+@pytest.mark.parametrize("cap", ["max_pairs", "max_geodesics", "max_geodesic_pairs"])
+def test_scope_cap_none_disables_it(cap):
+    # C4 fits every default cap, so lifting one changes nothing.
+    g = cycle_graph(4)
+    scope = SearchScope(**{cap: None})
+    assert find_ladders(g, 1, 2, scope) == find_ladders(g, 1, 2)
+    assert list(iter_disjoint_pairs(g, 2, scope)) == list(iter_disjoint_pairs(g, 2))
+    assert enumerate_bigons(g, scope) == enumerate_bigons(g)
+    assert enumerate_triangles(g, scope) == enumerate_triangles(g)
+
+
 def test_find_ladders_ball_skips_untrusted(free2_r4):
     scan = find_ladders(free2_r4, 1, 1, SearchScope(max_pairs=300))
     assert scan.skipped_untrusted > 0

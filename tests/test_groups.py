@@ -19,6 +19,7 @@ from geodetic import (
     validate_genset,
     word_to_element,
 )
+from geodetic.graphs import is_k_geodetic, min_geodetic_k
 from geodetic.groups import BALL_BUDGET_ENV
 from geodetic.zoo import (
     cyclic_odd_powers,
@@ -293,6 +294,77 @@ def test_trusted_pairs():
     spec6, gens6 = cyclic_odd_powers(2)
     complete = cayley_ball(spec6, gens6, 2)
     assert complete.is_trusted_pair(1, 3)
+
+
+def product_group(*orders):
+    """Direct product of cyclic factors with a unit generator (and its inverse) per factor."""
+    spec = ProductSpec(tuple(CyclicSpec(n) for n in orders))
+    pairs = []
+    for i, n in enumerate(orders):
+        unit = tuple(1 if j == i else 0 for j in range(len(orders)))
+        pairs.append((f"x{i}", unit))
+        if n != 2:
+            pairs.append((f"x{i}'", spec.inverse(unit)))
+    return spec, validate_genset(spec, pairs)
+
+
+# (group, largest radius) for the identity-BFS path: radii run to 6, except
+# where the all-pairs oracle would take seconds (F2: 1,457 vertices at 6;
+# Z*Z2*Z3: 4,398).  The finite groups become complete balls (the whole,
+# vertex-transitive Cayley graph) at small radii.
+K_GROUPS = [
+    (infinite_cyclic, 6),
+    (lambda: free_group(2), 5),
+    (z2_star_z2, 6),
+    (lambda: plain_group(0, (2, 2, 2)), 6),
+    (lambda: plain_group(1, (2, 3)), 4),
+    (z_cross_z2, 6),
+    (lambda: product_group(0, 0), 6),
+    (lambda: product_group(0, 3), 6),
+    (lambda: product_group(3, 4), 6),
+    (lambda: product_group(2, 2, 2), 6),
+    (lambda: table_group(5), 6),
+    (lambda: cyclic_odd_powers(1), 6),
+    (lambda: cyclic_odd_powers(3), 6),
+    (lambda: cyclic_odd_powers(4), 6),
+    (lambda: cyclic_with_step(7), 6),
+    (lambda: cyclic_with_step(8, 3), 6),
+    (lambda: cyclic_with_step(12, 5), 6),
+]
+K_BALLS = st.sampled_from(K_GROUPS).flatmap(
+    lambda entry: st.tuples(st.just(entry[0]), st.integers(0, entry[1]))
+)
+
+
+@given(K_BALLS)
+@settings(max_examples=80, deadline=None)
+def test_ball_min_k_matches_all_pairs_oracle(group_and_radius):
+    group, radius = group_and_radius
+    ball = cayley_ball(*group(), radius)
+    fast = ball.min_geodetic_k()
+    assert set(ball.graph._dag_cache) <= {0}  # the identity BFS alone
+    k = fast[0]
+    assert fast == min_geodetic_k(ball.graph, ball.is_trusted_pair)
+    for j in sorted({1, k - 1, k} - {0}):
+        assert ball.is_k_geodetic(j) == is_k_geodetic(ball.graph, j, ball.is_trusted_pair)
+    with pytest.raises(ValueError):
+        ball.is_k_geodetic(0)
+
+
+def test_ball_min_k_known_values():
+    assert cayley_ball(*free_group(2), 0).min_geodetic_k() == (1, (0, 0))
+    assert cayley_ball(*free_group(2), 0).is_k_geodetic(1) == (True, None)
+    # K_{4,4}: 4 geodesics between the identity and the first even residue.
+    ball = cayley_ball(*cyclic_odd_powers(4), 2)
+    k, (u, v) = ball.min_geodetic_k()
+    assert (k, u, ball.elements[v]) == (4, 0, 2)
+    assert ball.is_k_geodetic(3) == (False, (u, v))
+    # The 3-cube Z2^3: 3! geodesics to the antipode.
+    ball = cayley_ball(*product_group(2, 2, 2), 3)
+    assert ball.complete
+    k, (u, v) = ball.min_geodetic_k()
+    assert (k, u, ball.elements[v]) == (6, 0, (1, 1, 1))
+    assert ball.is_k_geodetic(1)[1] == (0, ball.vertex_of((1, 1, 0)))
 
 
 def test_ball_budget():
