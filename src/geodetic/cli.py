@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from .geometry import (
+    Coverage,
     SearchScope,
     bigon_report_line,
     enumerate_bigons,
@@ -108,12 +109,18 @@ def _min_k(host) -> tuple[int, tuple[int, int]]:
 
 
 def _scope(args) -> SearchScope:
-    scope = SearchScope()
-    if getattr(args, "scope_pairs", None) is not None:
-        scope.max_pairs = args.scope_pairs
-    if getattr(args, "scope_geodesics", None) is not None:
-        scope.max_geodesics = args.scope_geodesics
-    return scope
+    return SearchScope(max_pairs=args.scope_pairs, max_geodesics=args.scope_geodesics)
+
+
+def _print_found(cov: Coverage, report_line, scanned: bool) -> None:
+    """One line per report, then the coverage line when scanned is set."""
+    for report in cov.found:
+        print(report_line(report))
+    if scanned:
+        print(
+            f"scanned: pairs={cov.pairs_scanned} geodesic_pairs={cov.geodesic_pairs_scanned} "
+            f"skipped={cov.skipped} exhausted={'true' if cov.exhausted else 'false'}"
+        )
 
 
 def cmd_ball(args) -> int:
@@ -158,39 +165,33 @@ def cmd_min_k(args) -> int:
 
 
 def cmd_ladders(args) -> int:
+    scope = _scope(args)
     host = _load_host(args)
     k = args.k if args.k is not None else _min_k(host)[0]
-    scan = find_ladders(host, args.m, k, _scope(args))
-    print(f"ladders: m={args.m} k={k} bound={ladder_bound_A(args.m, k)} found={len(scan.reports)}")
-    for report in scan.reports:
-        print(ladder_report_line(report))
-    print(
-        f"scanned: pairs={scan.pairs_scanned} geodesic_pairs={scan.geodesic_pairs_scanned} "
-        f"skipped={scan.skipped_untrusted} exhausted={'true' if scan.scope_exhausted else 'false'}"
-    )
+    cov = find_ladders(host, args.m, k, scope)
+    print(f"ladders: m={args.m} k={k} bound={ladder_bound_A(args.m, k)} found={len(cov.found)}")
+    _print_found(cov, ladder_report_line, True)
     return 0
 
 
 def cmd_bigons(args) -> int:
-    host = _load_host(args)
-    bigons, best = enumerate_bigons(host, _scope(args))
-    nondeg = sum(1 for b in bigons if not b.degenerate)
+    scope = _scope(args)
+    cov = enumerate_bigons(_load_host(args), scope)
+    sides = [b.alpha.length for b in cov.found if not b.degenerate]
     print(
-        f"bigons: found={len(bigons)} non_degenerate={nondeg} "
-        f"max_non_degenerate_side={'none' if best is None else best}"
+        f"bigons: found={len(cov.found)} non_degenerate={len(sides)} "
+        f"max_non_degenerate_side={max(sides, default='none')}"
     )
-    for b in bigons:
-        print(bigon_report_line(b))
+    _print_found(cov, bigon_report_line, args.verbose)
     return 0
 
 
 def cmd_triangles(args) -> int:
-    host = _load_host(args)
-    triangles = enumerate_triangles(host, _scope(args))
-    nondeg = sum(1 for t in triangles if not t.degenerate)
-    print(f"triangles: found={len(triangles)} non_degenerate={nondeg}")
-    for t in triangles:
-        print(triangle_report_line(t))
+    scope = _scope(args)
+    cov = enumerate_triangles(_load_host(args), scope)
+    nondeg = sum(1 for t in cov.found if not t.degenerate)
+    print(f"triangles: found={len(cov.found)} non_degenerate={nondeg}")
+    _print_found(cov, triangle_report_line, args.verbose)
     return 0
 
 
@@ -292,8 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
         if flags.get("radius"):
             p.add_argument("--radius", type=int, help="ball radius (overrides the file default)")
         if flags.get("scope"):
-            p.add_argument("--scope-pairs", type=int, help="max vertex pairs scanned")
-            p.add_argument("--scope-geodesics", type=int, help="max geodesics per pair")
+            p.add_argument("--scope-pairs", type=int, default=SearchScope.max_pairs,
+                           help="max vertex pairs scanned")
+            p.add_argument("--scope-geodesics", type=int, default=SearchScope.max_geodesics,
+                           help="max geodesics per pair")
         p.add_argument("--verbose", action="store_true", help="add human-oriented detail")
         p.set_defaults(func=func)
         return p

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, combinations, combinations_with_replacement, islice, product
 from typing import Iterator, Optional, Sequence, Union
 
 from .graphs import (
@@ -155,14 +156,46 @@ def close_bound_C(m: int, k: int) -> int:
     return m * ladder_bound_A(m, k)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchScope:
-    """Caps for the scoped searches; None disables a cap."""
+    """Caps for the scoped searches; None disables a cap, a negative one raises ValueError.
+
+    max_pairs caps the vertex pairs of ladders and bigons, and the triple cap
+    of triangles reuses it; max_geodesics caps the geodesics enumerated per
+    vertex pair or triangle side; max_geodesic_pairs bounds only the ladder
+    pairing.
+    """
 
     max_pairs: Optional[int] = 2000
     max_geodesics: Optional[int] = 50
-    max_length: Optional[int] = None
     max_geodesic_pairs: Optional[int] = 200_000
+
+    def __post_init__(self):
+        for name, cap in vars(self).items():
+            if cap is not None and cap < 0:
+                raise ValueError(f"{name} must be nonnegative, got {cap}")
+
+
+@dataclass
+class Coverage:
+    """What a scoped search found (the reports) and how much ground it covered.
+
+    pairs_scanned counts the vertex pairs whose geodesics were enumerated;
+    for triangles they are corner triples, under the triple cap max_pairs.
+    geodesic_pairs_scanned counts the geodesic pairs the ladder pairing
+    compared; max_geodesic_pairs bounds only that pairing, so it is 0 for
+    bigons and triangles.  skipped counts the untrusted rows passed over
+    before the scan stopped: the pair source reads every pair before it
+    sorts, the triple scan stops at the first triple past its cap.
+    exhausted says a cap cut the search short, a truncated geodesic list
+    included.
+    """
+
+    found: list = field(default_factory=list)
+    pairs_scanned: int = 0
+    geodesic_pairs_scanned: int = 0
+    skipped: int = 0
+    exhausted: bool = False
 
 
 @dataclass(frozen=True)
@@ -175,17 +208,6 @@ class LadderReport:
     within_bound: bool
 
 
-@dataclass
-class LadderScan:
-    """find_ladders result: the reports plus how much ground was covered."""
-
-    reports: list[LadderReport] = field(default_factory=list)
-    pairs_scanned: int = 0
-    geodesic_pairs_scanned: int = 0
-    skipped_untrusted: int = 0
-    scope_exhausted: bool = False
-
-
 GraphOrBall = Union[Graph, CayleyBall]
 
 
@@ -195,31 +217,41 @@ def _graph_and_filter(host: GraphOrBall):
     return host, None
 
 
-def _scoped_vertex_pairs(g: Graph, scope: SearchScope, pair_filter):
-    """Distinct vertex pairs ordered by (distance, u, v), capped by the scope.
+def _capped(rows: Iterator, cap: Optional[int], cov: Coverage) -> Iterator:
+    """The first cap rows (every row when cap is None); one more row marks cov.exhausted."""
+    yield from islice(rows, cap)
+    if cap is not None and next(rows, None) is not None:
+        cov.exhausted = True
 
-    Returns (pairs, skipped, exhausted): skipped counts pairs dropped by the
-    filter (untrusted ball pairs), exhausted says the cap cut the list short.
-    """
+
+def _vertex_pairs(g: Graph, pair_filter, cov: Coverage) -> Iterator[tuple[int, int, int]]:
+    """Reachable vertex pairs u < v as (d, u, v) in (distance, u, v) order;
+    pairs the filter rejects (untrusted ball pairs) count in cov.skipped."""
     rows = []
-    skipped = 0
     for u in range(g.vertex_count):
-        dag = g.dag(u)
+        dist = g.dag(u).dist
         for v in range(u + 1, g.vertex_count):
-            d = dag.dist[v]
-            if d == UNREACHED:
+            if dist[v] == UNREACHED:
                 continue
-            if scope.max_length is not None and d > scope.max_length:
-                continue
-            if pair_filter is not None and not pair_filter(u, v):
-                skipped += 1
-                continue
-            rows.append((d, u, v))
-    rows.sort()
-    exhausted = scope.max_pairs is not None and len(rows) > scope.max_pairs
-    if exhausted:
-        rows = rows[: scope.max_pairs]
-    return rows, skipped, exhausted
+            if pair_filter is None or pair_filter(u, v):
+                rows.append((dist[v], u, v))
+            else:
+                cov.skipped += 1
+    yield from sorted(rows)
+
+
+def _geodesics(g: Graph, u: int, v: int, scope: SearchScope, cov: Coverage) -> list[PathSeq]:
+    """Geodesics u -> v up to scope.max_geodesics; a truncated list marks cov.exhausted."""
+    geos, truncated = enumerate_geodesics(g, u, v, limit=scope.max_geodesics)
+    cov.exhausted |= truncated
+    return geos
+
+
+def _pair_geodesics(g: Graph, pair_filter, scope: SearchScope, cov: Coverage):
+    """(d, geodesics u -> v) of each scoped vertex pair, counted in cov.pairs_scanned."""
+    for d, u, v in _capped(_vertex_pairs(g, pair_filter, cov), scope.max_pairs, cov):
+        cov.pairs_scanned += 1
+        yield d, _geodesics(g, u, v, scope, cov)
 
 
 def iter_disjoint_pairs(
@@ -230,49 +262,32 @@ def iter_disjoint_pairs(
     Geodesics are enumerated per vertex pair (pairs ordered by distance then
     lexicographically, each geodesic directed from the smaller endpoint),
     bucketed by length, and paired within each bucket, so the two geodesics
-    of a pair may join different endpoint pairs.  Zero-length geodesics are
-    skipped.  Each geodesic of a bucket is prepared once, before the pairing;
-    a pair costs one disjointness test over the shared vertices, and only a
-    disjoint pair gets its distances and flags from the kernel.  The
-    geodesics come from enumeration, so no pair is validated again.
-    Consume via find_ladders for the bound bookkeeping.
+    of a pair may join different endpoint pairs.  The geodesics come from
+    enumeration, so no pair is validated again.
     """
-    scan = LadderScan()
-    yield from _scan_disjoint_pairs(host, m, scope or SearchScope(), scan)
+    yield from _disjoint_pairs(host, m, scope or SearchScope(), Coverage())
 
 
-def _scan_disjoint_pairs(host, m, scope, scan):
+def _disjoint_pairs(host, m, scope, cov):
     g, pair_filter = _graph_and_filter(host)
-    pairs, skipped, exhausted = _scoped_vertex_pairs(g, scope, pair_filter)
-    scan.skipped_untrusted = skipped
-    scan.scope_exhausted = exhausted
     buckets: dict[int, list[PathSeq]] = {}
-    for d, u, v in pairs:
-        if d == 0:
-            continue
-        scan.pairs_scanned += 1
-        geos, truncated = enumerate_geodesics(g, u, v, limit=scope.max_geodesics)
-        if truncated:
-            scan.scope_exhausted = True
-        buckets.setdefault(d, []).append(geos)
-    cap = scope.max_geodesic_pairs
-    for d in sorted(buckets):
-        walks = [_Walk(g, p) for group in buckets[d] for p in group]
-        for i, w1 in enumerate(walks):
-            for w2 in walks[i + 1 :]:
-                if cap is not None and scan.geodesic_pairs_scanned >= cap:
-                    scan.scope_exhausted = True
-                    return
-                scan.geodesic_pairs_scanned += 1
-                # Walks that share a vertex lie in one component, so a pair
-                # skipped here cannot hold an unreachable index.
-                if _disjoint(w1, w2):
-                    yield w1.path, w2.path, _pair_kernel(w1, w2, m, True)
+    for d, geos in _pair_geodesics(g, pair_filter, scope, cov):
+        buckets.setdefault(d, []).extend(geos)
+    # The pairs arrive by distance, so the buckets are in length order.
+    pairs = chain.from_iterable(
+        combinations([_Walk(g, p) for p in geos], 2) for geos in buckets.values()
+    )
+    for w1, w2 in _capped(pairs, scope.max_geodesic_pairs, cov):
+        cov.geodesic_pairs_scanned += 1
+        # Walks that share a vertex lie in one component, so a pair
+        # skipped here cannot hold an unreachable index.
+        if _disjoint(w1, w2):
+            yield w1.path, w2.path, _pair_kernel(w1, w2, m, True)
 
 
 def find_ladders(
     host: GraphOrBall, m: int, k_verified: int, scope: Optional[SearchScope] = None
-) -> LadderScan:
+) -> Coverage:
     """Scoped search for width-m ladder-like structures.
 
     k_verified is the caller-certified geodeticity constant of the host; it
@@ -282,15 +297,12 @@ def find_ladders(
     """
     if k_verified < 1:
         raise ValueError("k_verified must be at least 1")
-    scope = scope or SearchScope()
     bound = ladder_bound_A(m, k_verified)
-    scan = LadderScan()
-    for p1, p2, stats in _scan_disjoint_pairs(host, m, scope, scan):
+    cov = Coverage()
+    for p1, p2, stats in _disjoint_pairs(host, m, scope or SearchScope(), cov):
         if stats.a_m >= 1:
-            scan.reports.append(
-                LadderReport(p1, p2, m, stats.a_m, bound, stats.a_m <= bound)
-            )
-    return scan
+            cov.found.append(LadderReport(p1, p2, m, stats.a_m, bound, stats.a_m <= bound))
+    return cov
 
 
 def ladder_report_line(r: LadderReport) -> str:
@@ -367,27 +379,18 @@ def classify_bigon(g: Graph, alpha: PathSeq, beta: PathSeq) -> Bigon:
     return Bigon(alpha, beta, degenerate)
 
 
-def enumerate_bigons(
-    host: GraphOrBall, scope: Optional[SearchScope] = None
-) -> tuple[list[Bigon], Optional[int]]:
-    """All geodesic bigons between scoped vertex pairs, plus the largest
-    non-degenerate side length (None when no non-degenerate bigon shows up)."""
-    scope = scope or SearchScope()
+def enumerate_bigons(host: GraphOrBall, scope: Optional[SearchScope] = None) -> Coverage:
+    """Every pair of distinct geodesics u -> v over the scoped vertex pairs.
+
+    The Coverage counts pairs as find_ladders does, skipped being every
+    untrusted pair passed over before the scan stopped; max_geodesic_pairs
+    bounds only the ladder pairing, so geodesic_pairs_scanned stays 0.
+    """
     g, pair_filter = _graph_and_filter(host)
-    pairs, _, _ = _scoped_vertex_pairs(g, scope, pair_filter)
-    out: list[Bigon] = []
-    best: Optional[int] = None
-    for d, u, v in pairs:
-        if d == 0:
-            continue
-        geos, _ = enumerate_geodesics(g, u, v, limit=scope.max_geodesics)
-        for i in range(len(geos)):
-            for j in range(i + 1, len(geos)):
-                b = classify_bigon(g, geos[i], geos[j])
-                out.append(b)
-                if not b.degenerate:
-                    best = max(best or 0, b.alpha.length)
-    return out, best
+    cov = Coverage()
+    for _, geos in _pair_geodesics(g, pair_filter, scope or SearchScope(), cov):
+        cov.found.extend(classify_bigon(g, a, b) for a, b in combinations(geos, 2))
+    return cov
 
 
 def bigon_report_line(b: Bigon) -> str:
@@ -422,45 +425,37 @@ def classify_triangle(g: Graph, alpha: PathSeq, beta: PathSeq, gamma: PathSeq) -
     return GeodesicTriangle(alpha, beta, gamma, degenerate)
 
 
-def enumerate_triangles(
-    host: GraphOrBall, scope: Optional[SearchScope] = None
-) -> list[GeodesicTriangle]:
+def _corner_triples(g: Graph, pair_filter, cov: Coverage) -> Iterator[tuple[int, int, int]]:
+    """Corner triples x <= y <= z of one component in (x, y, z) order;
+    triples with a side the filter rejects count in cov.skipped."""
+    for x in range(g.vertex_count):
+        dx = g.dag(x).dist
+        reach = [v for v in range(x, g.vertex_count) if dx[v] != UNREACHED]
+        for y, z in combinations_with_replacement(reach, 2):
+            if pair_filter is None or (
+                pair_filter(x, y) and pair_filter(y, z) and pair_filter(x, z)
+            ):
+                yield x, y, z
+            else:
+                cov.skipped += 1
+
+
+def enumerate_triangles(host: GraphOrBall, scope: Optional[SearchScope] = None) -> Coverage:
     """Geodesic triangles over corner triples x <= y <= z within scope.
 
-    The triple cap reuses scope.max_pairs; each side enumerates at most
-    scope.max_geodesics geodesics, and scope.max_length bounds side lengths.
+    The triple cap reuses scope.max_pairs, and pairs_scanned counts triples;
+    skipped counts the untrusted triples passed over before the scan stopped.
+    max_geodesic_pairs bounds only the ladder pairing, so
+    geodesic_pairs_scanned stays 0.
     """
     scope = scope or SearchScope()
     g, pair_filter = _graph_and_filter(host)
-    out: list[GeodesicTriangle] = []
-    triples = 0
-    for x in range(g.vertex_count):
-        dx = g.dag(x).dist
-        for y in range(x, g.vertex_count):
-            if dx[y] == UNREACHED:
-                continue
-            dy = g.dag(y).dist
-            for z in range(y, g.vertex_count):
-                if dy[z] == UNREACHED:
-                    continue
-                sides = (dx[y], dy[z], dx[z])
-                if scope.max_length is not None and max(sides) > scope.max_length:
-                    continue
-                if pair_filter is not None and not (
-                    pair_filter(x, y) and pair_filter(y, z) and pair_filter(x, z)
-                ):
-                    continue
-                if scope.max_pairs is not None and triples >= scope.max_pairs:
-                    return out
-                triples += 1
-                alphas, _ = enumerate_geodesics(g, x, y, limit=scope.max_geodesics)
-                betas, _ = enumerate_geodesics(g, y, z, limit=scope.max_geodesics)
-                gammas, _ = enumerate_geodesics(g, z, x, limit=scope.max_geodesics)
-                for a in alphas:
-                    for b in betas:
-                        for c in gammas:
-                            out.append(classify_triangle(g, a, b, c))
-    return out
+    cov = Coverage()
+    for x, y, z in _capped(_corner_triples(g, pair_filter, cov), scope.max_pairs, cov):
+        cov.pairs_scanned += 1
+        sides = [_geodesics(g, a, b, scope, cov) for a, b in ((x, y), (y, z), (z, x))]
+        cov.found.extend(classify_triangle(g, *abc) for abc in product(*sides))
+    return cov
 
 
 def triangle_report_line(t: GeodesicTriangle) -> str:

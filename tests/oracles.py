@@ -2,26 +2,28 @@
 
 Everything here favors obviousness over speed: plain depth-first search,
 divisor scans, and direct membership checks, free of the library's own
-algorithms so that agreement actually means something.  The ladder-scan
-oracle reuses the library's vertex-pair scope and geodesic enumeration and
-replaces only the pair statistics.
+algorithms so that agreement actually means something.  The scoped-search
+oracles (ladders, bigons, triangles) choose and cap their vertex pairs and
+corner triples from a full scan of plain BFS rows, classify by hand, and
+reuse only the library's geodesic enumeration.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 from geodetic.geometry import (
+    Bigon,
+    Coverage,
+    GeodesicTriangle,
     LadderReport,
-    LadderScan,
     PairStats,
-    _graph_and_filter,
-    _scoped_vertex_pairs,
     ladder_bound_A,
     validate_path,
 )
 from geodetic.graphs import Graph, build_graph, enumerate_geodesics
-from geodetic.groups import BallBudgetError
+from geodetic.groups import BallBudgetError, CayleyBall
 
 
 def dfs_walks_of_length(g: Graph, u: int, v: int, n: int) -> list[tuple[int, ...]]:
@@ -199,39 +201,140 @@ def naive_pair_stats(g: Graph, p1, p2, m: int) -> PairStats:
     return PairStats(m, tuple(distances), a_m, c_m, disjoint, co, sync)
 
 
-def naive_disjoint_pairs(host, m: int, scope, scan: LadderScan):
+def bfs_distances(g: Graph, u: int) -> list[Optional[int]]:
+    """Distances from u by a plain queue BFS; None marks an unreachable vertex."""
+    dist: list[Optional[int]] = [None] * g.vertex_count
+    dist[u] = 0
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        for y in g.neighbors(x):
+            if dist[y] is None:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+def _graph_and_trust(host):
+    """The host's graph and its trusted-pair test (every pair of a plain graph)."""
+    if isinstance(host, CayleyBall):
+        return host.graph, host.is_trusted_pair
+    return host, lambda u, v: True
+
+
+def naive_scoped_pairs(host, scope, cov: Coverage) -> list[tuple[int, int, int]]:
+    """Every reachable pair u < v as (d, u, v), filtered, sorted and sliced.
+
+    Untrusted pairs count in cov.skipped; a slice that drops rows sets
+    cov.exhausted.
+    """
+    g, trusted = _graph_and_trust(host)
+    rows = []
+    for u in range(g.vertex_count):
+        dist = bfs_distances(g, u)
+        for v in range(u + 1, g.vertex_count):
+            if dist[v] is None:
+                continue
+            if trusted(u, v):
+                rows.append((dist[v], u, v))
+            else:
+                cov.skipped += 1
+    rows.sort()
+    if scope.max_pairs is not None and len(rows) > scope.max_pairs:
+        cov.exhausted = True
+        rows = rows[: scope.max_pairs]
+    return rows
+
+
+def _naive_geodesics(g: Graph, u: int, v: int, scope, cov: Coverage):
+    geos, truncated = enumerate_geodesics(g, u, v, limit=scope.max_geodesics)
+    cov.exhausted = cov.exhausted or truncated
+    return geos
+
+
+def naive_disjoint_pairs(host, m: int, scope, cov: Coverage):
     """The ladder scan with naive_pair_stats run on every geodesic pair."""
-    g, pair_filter = _graph_and_filter(host)
-    pairs, skipped, exhausted = _scoped_vertex_pairs(g, scope, pair_filter)
-    scan.skipped_untrusted = skipped
-    scan.scope_exhausted = exhausted
+    g, _ = _graph_and_trust(host)
     buckets: dict[int, list] = {}
-    for d, u, v in pairs:
-        if d == 0:
-            continue
-        scan.pairs_scanned += 1
-        geos, truncated = enumerate_geodesics(g, u, v, limit=scope.max_geodesics)
-        if truncated:
-            scan.scope_exhausted = True
-        buckets.setdefault(d, []).append(geos)
+    for d, u, v in naive_scoped_pairs(host, scope, cov):
+        cov.pairs_scanned += 1
+        buckets.setdefault(d, []).extend(_naive_geodesics(g, u, v, scope, cov))
     for d in sorted(buckets):
-        flat = [p for group in buckets[d] for p in group]
+        flat = buckets[d]
         for i in range(len(flat)):
             for j in range(i + 1, len(flat)):
-                if scan.geodesic_pairs_scanned >= scope.max_geodesic_pairs:
-                    scan.scope_exhausted = True
+                cap = scope.max_geodesic_pairs
+                if cap is not None and cov.geodesic_pairs_scanned >= cap:
+                    cov.exhausted = True
                     return
-                scan.geodesic_pairs_scanned += 1
+                cov.geodesic_pairs_scanned += 1
                 stats = naive_pair_stats(g, flat[i], flat[j], m)
                 if stats.asynchronously_disjoint:
                     yield flat[i], flat[j], stats
 
 
-def naive_find_ladders(host, m: int, k_verified: int, scope) -> LadderScan:
+def naive_find_ladders(host, m: int, k_verified: int, scope) -> Coverage:
     """find_ladders over naive_disjoint_pairs."""
     bound = ladder_bound_A(m, k_verified)
-    scan = LadderScan()
-    for p1, p2, stats in naive_disjoint_pairs(host, m, scope, scan):
+    cov = Coverage()
+    for p1, p2, stats in naive_disjoint_pairs(host, m, scope, cov):
         if stats.a_m >= 1:
-            scan.reports.append(LadderReport(p1, p2, m, stats.a_m, bound, stats.a_m <= bound))
-    return scan
+            cov.found.append(LadderReport(p1, p2, m, stats.a_m, bound, stats.a_m <= bound))
+    return cov
+
+
+def naive_bigons(host, scope) -> Coverage:
+    """enumerate_bigons over naive_scoped_pairs, each side pair classified by hand."""
+    g, _ = _graph_and_trust(host)
+    cov = Coverage()
+    for _, u, v in naive_scoped_pairs(host, scope, cov):
+        cov.pairs_scanned += 1
+        geos = _naive_geodesics(g, u, v, scope, cov)
+        for i in range(len(geos)):
+            for j in range(i + 1, len(geos)):
+                a, b = geos[i], geos[j]
+                degenerate = any(a[t] == b[t] for t in range(1, a.length))
+                cov.found.append(Bigon(a, b, degenerate))
+    return cov
+
+
+def naive_triangles(host, scope) -> Coverage:
+    """enumerate_triangles from the full list of corner triples x <= y <= z.
+
+    The scan stops at the first admitted triple past the cap max_pairs, so
+    skipped counts the untrusted triples before that point.
+    """
+    g, trusted = _graph_and_trust(host)
+    n = g.vertex_count
+    dist = [bfs_distances(g, x) for x in range(n)]
+    rows = [
+        ((x, y, z), trusted(x, y) and trusted(y, z) and trusted(x, z))
+        for x in range(n)
+        for y in range(x, n)
+        for z in range(y, n)
+        if None not in (dist[x][y], dist[y][z], dist[x][z])
+    ]
+    admitted = [i for i, (_, ok) in enumerate(rows) if ok]
+    cov = Coverage()
+    stop = len(rows)
+    if scope.max_pairs is not None and len(admitted) > scope.max_pairs:
+        stop = admitted[scope.max_pairs]
+        cov.exhausted = True
+    cov.skipped = sum(1 for _, ok in rows[:stop] if not ok)
+    for (x, y, z), ok in rows[:stop]:
+        if not ok:
+            continue
+        cov.pairs_scanned += 1
+        alphas = _naive_geodesics(g, x, y, scope, cov)
+        betas = _naive_geodesics(g, y, z, scope, cov)
+        gammas = _naive_geodesics(g, z, x, scope, cov)
+        for a in alphas:
+            for b in betas:
+                for c in gammas:
+                    if 0 in (a.length, b.length, c.length):
+                        degenerate = True
+                    else:
+                        ta, tb, tc = (set(p.vertices[1:]) for p in (a, b, c))
+                        degenerate = bool(ta & tb or ta & tc or tb & tc)
+                    cov.found.append(GeodesicTriangle(a, b, c, degenerate))
+    return cov

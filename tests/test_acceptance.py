@@ -168,7 +168,7 @@ def test_05_ladder_heights_and_close_counts_respect_bounds():
             for m in (1, 2):
                 scan = find_ladders(host, m, k, scope)
                 bound = ladder_bound_A(m, k)
-                for report in scan.reports:
+                for report in scan.found:
                     ladders_seen += 1
                     assert report.within_bound
                     assert report.height <= bound

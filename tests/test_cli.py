@@ -218,6 +218,47 @@ def test_triangles_c4(capsys, c4):
     assert out.splitlines()[0] == "triangles: found=36 non_degenerate=4"
 
 
+@pytest.mark.parametrize("command", ["ladders", "bigons", "triangles"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--scope-pairs", "-1"], "max_pairs must be nonnegative, got -1"),
+        (["--scope-geodesics", "-1"], "max_geodesics must be nonnegative, got -1"),
+        (["--scope-pairs", "0", "--scope-geodesics", "-1"], "max_geodesics must be nonnegative, got -1"),
+    ],
+)
+def test_negative_scope_cap_exits_2(capsys, c4, command, flags, message):
+    assert run(capsys, [command, "--graph", c4, *flags]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, scanned",
+    [
+        (["bigons", "--graph", "C4"], "pairs=6 geodesic_pairs=0 skipped=0 exhausted=false"),
+        (["bigons", "--group", "Z"], "pairs=11 geodesic_pairs=0 skipped=10 exhausted=false"),
+        (["triangles", "--graph", "C4"], "pairs=20 geodesic_pairs=0 skipped=0 exhausted=false"),
+        (["triangles", "--graph", "C4", "--scope-pairs", "5"],
+         "pairs=5 geodesic_pairs=0 skipped=0 exhausted=true"),
+        (["triangles", "--graph", "C4", "--scope-geodesics", "1"],
+         "pairs=20 geodesic_pairs=0 skipped=0 exhausted=true"),
+    ],
+)
+def test_verbose_adds_only_the_scanned_line(capsys, tmp_path, argv, scanned):
+    (tmp_path / "C4").write_text(C4_GRAPH)
+    (tmp_path / "Z").write_text(Z_GROUP)
+    argv = [str(tmp_path / a) if a in ("C4", "Z") else a for a in argv]
+    code, plain, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert run(capsys, argv + ["--verbose"]) == (0, plain + f"scanned: {scanned}\n", "")
+
+
+def test_bigons_none_without_non_degenerate_bigon(capsys, tmp_path):
+    path = tmp_path / "z.grp"
+    path.write_text(Z_GROUP)
+    code, out, _ = run(capsys, ["bigons", "--group", str(path)])
+    assert (code, out) == (0, "bigons: found=0 non_degenerate=0 max_non_degenerate_side=none\n")
+
+
 def test_forbidden_round_trip(capsys, tmp_path):
     path = tmp_path / "z2z2.grp"
     path.write_text(Z2Z2_GROUP)

@@ -21,7 +21,7 @@ from geodetic import (
 )
 from geodetic import geometry, zoo
 from geodetic.geometry import (
-    LadderScan,
+    Coverage,
     classify_bigon,
     classify_triangle,
     is_geodesic_path,
@@ -39,7 +39,14 @@ from geodetic.zoo import (
     star_graph,
 )
 
-from oracles import dfs_walks_of_length, naive_disjoint_pairs, naive_find_ladders, naive_pair_stats
+from oracles import (
+    dfs_walks_of_length,
+    naive_bigons,
+    naive_disjoint_pairs,
+    naive_find_ladders,
+    naive_pair_stats,
+    naive_triangles,
+)
 
 
 def test_bound_values():
@@ -135,8 +142,8 @@ def test_pair_stats_partition_invariant(seed):
 def test_find_ladders_c4():
     g = cycle_graph(4)
     scan = find_ladders(g, 1, 2)
-    assert len(scan.reports) == 1
-    report = scan.reports[0]
+    assert len(scan.found) == 1
+    report = scan.found[0]
     assert report.height == 2
     assert report.bound == 70
     assert report.within_bound
@@ -157,7 +164,7 @@ def test_find_ladders_bound_property_small_hosts():
     for g, k in hosts:
         for m in (1, 2):
             scan = find_ladders(g, m, k)
-            for report in scan.reports:
+            for report in scan.found:
                 assert report.within_bound
                 assert report.height <= ladder_bound_A(m, k)
 
@@ -172,7 +179,7 @@ def test_disjoint_pairs_c_bound_small_hosts():
 def test_find_ladders_scope_exhaustion():
     g = complete_bipartite(3, 3)
     scan = find_ladders(g, 1, 3, SearchScope(max_pairs=2))
-    assert scan.scope_exhausted
+    assert scan.exhausted
     assert scan.pairs_scanned <= 2
 
 
@@ -189,8 +196,8 @@ def test_scope_cap_none_disables_it(cap):
 
 def test_find_ladders_ball_skips_untrusted(free2_r4):
     scan = find_ladders(free2_r4, 1, 1, SearchScope(max_pairs=300))
-    assert scan.skipped_untrusted > 0
-    for report in scan.reports:
+    assert scan.skipped > 0
+    for report in scan.found:
         assert report.within_bound
 
 
@@ -253,10 +260,10 @@ def test_shorten_paths_random_trees(seed):
 
 
 def test_bigons_c4():
-    bigons, best = enumerate_bigons(cycle_graph(4))
+    bigons = enumerate_bigons(cycle_graph(4)).found
     assert len(bigons) == 2
     assert all(not b.degenerate for b in bigons)
-    assert best == 2
+    assert max(b.alpha.length for b in bigons if not b.degenerate) == 2
 
 
 def test_bigons_k33_pair_count():
@@ -273,8 +280,7 @@ def test_bigons_k33_pair_count():
 
 
 def test_bigons_unique_geodesics_yield_none():
-    bigons, best = enumerate_bigons(path_graph(5))
-    assert bigons == [] and best is None
+    assert enumerate_bigons(path_graph(5)).found == []
 
 
 def test_degenerate_bigon():
@@ -319,7 +325,7 @@ def test_triangles_c6():
 
 def test_enumerate_triangles_classification_is_consistent():
     g = petersen_graph()
-    triangles = enumerate_triangles(g, SearchScope(max_pairs=60))
+    triangles = enumerate_triangles(g, SearchScope(max_pairs=60)).found
     assert triangles
     for t in triangles[:200]:
         tails = [set(s.vertices[1:]) for s in (t.alpha, t.beta, t.gamma)]
@@ -420,7 +426,7 @@ SCAN_SCOPES = [
     SearchScope(),
     SearchScope(max_pairs=25),
     SearchScope(max_geodesic_pairs=30),
-    SearchScope(max_geodesics=2, max_length=2, max_geodesic_pairs=7),
+    SearchScope(max_geodesics=2, max_geodesic_pairs=7),
 ]
 
 
@@ -430,15 +436,44 @@ def test_ladder_scan_matches_oracle():
         for scope in SCAN_SCOPES:
             for m in (1, 2):
                 got = list(iter_disjoint_pairs(host, m, scope))
-                want = list(naive_disjoint_pairs(host, m, scope, LadderScan()))
+                want = list(naive_disjoint_pairs(host, m, scope, Coverage()))
                 assert got == want
                 scan = find_ladders(host, m, k, scope)
                 assert scan == naive_find_ladders(host, m, k, scope)
-                capped["max_pairs"] |= scan.scope_exhausted and scan.pairs_scanned == scope.max_pairs
+                capped["max_pairs"] |= scan.exhausted and scan.pairs_scanned == scope.max_pairs
                 capped["max_geodesic_pairs"] |= (
                     scan.geodesic_pairs_scanned == scope.max_geodesic_pairs
                 )
     assert all(capped.values())
+
+
+def test_bigon_and_triangle_coverage_match_oracle():
+    seen = dict.fromkeys(
+        ["bigons max_pairs", "bigons max_geodesics", "triangles max_pairs",
+         "triangles max_geodesics", "triangles skipped"],
+        False,
+    )
+    for host, _ in _scan_hosts():
+        for scope in SCAN_SCOPES:
+            bigons = enumerate_bigons(host, scope)
+            assert bigons == naive_bigons(host, scope)
+            triangles = enumerate_triangles(host, scope)
+            assert triangles == naive_triangles(host, scope)
+            for name, cov in (("bigons", bigons), ("triangles", triangles)):
+                at_cap = cov.pairs_scanned == scope.max_pairs
+                seen[f"{name} max_pairs"] |= cov.exhausted and at_cap
+                seen[f"{name} max_geodesics"] |= cov.exhausted and not at_cap
+            seen["triangles skipped"] |= triangles.skipped > 0
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("cap", ["max_pairs", "max_geodesics", "max_geodesic_pairs"])
+def test_scope_rejects_negative_cap_and_is_frozen(cap):
+    with pytest.raises(ValueError, match=f"^{cap} must be nonnegative, got -1$"):
+        SearchScope(**{cap: -1})
+    scope = SearchScope(**{cap: 0})
+    with pytest.raises(AttributeError):
+        setattr(scope, cap, -1)
 
 
 def test_ladder_scan_error_matches_oracle_on_two_components():
@@ -446,7 +481,7 @@ def test_ladder_scan_error_matches_oracle_on_two_components():
     for m in (1, 2):
         got = _drain(iter_disjoint_pairs(g, m))
         assert got[1] == (UnreachablePairError, "no path between vertices 0 and 3")
-        assert got == _drain(naive_disjoint_pairs(g, m, SearchScope(), LadderScan()))
+        assert got == _drain(naive_disjoint_pairs(g, m, SearchScope(), Coverage()))
 
 
 def test_ladder_scan_does_not_validate_pairs(monkeypatch):
