@@ -113,14 +113,15 @@ def _scope(args) -> SearchScope:
 
 
 def _print_found(cov: Coverage, report_line, scanned: bool) -> None:
-    """One line per report, then the coverage line when scanned is set."""
-    for report in cov.found:
-        print(report_line(report))
+    """One line per report, then the coverage line when scanned is set, in one write."""
+    lines = list(map(report_line, cov.found))
     if scanned:
-        print(
+        lines.append(
             f"scanned: pairs={cov.pairs_scanned} geodesic_pairs={cov.geodesic_pairs_scanned} "
             f"skipped={cov.skipped} exhausted={'true' if cov.exhausted else 'false'}"
         )
+    lines.append("")  # ends the last line; an empty report writes nothing
+    sys.stdout.write("\n".join(lines))
 
 
 def cmd_ball(args) -> int:

@@ -7,19 +7,24 @@ asynchronously disjoint when p1(i) != p2(j) for every pair of DISTINCT
 indices (same-index meetings are allowed), and a ladder-like structure of
 width m and height r is an asynchronously disjoint pair with a_m = r.
 
-One kernel computes these statistics from prepared walks: a walk carries
-the BFS distance row of each of its vertices, a vertex -> index map and its
-directed and indexed edges, so comparing two walks reads no DAG.  The public
-pair_stats validates and prepares its two walks per call; the ladder scan
-prepares each enumerated geodesic once and runs the kernel only on the
-pairs that pass the disjointness test.
+A walk is prepared once for the pair scans: it carries the BFS distance
+row of each of its vertices and a vertex -> index map, so comparing two
+walks reads no DAG.  Two paths compute a full PairStats: the public
+pair_stats, which validates and prepares its two walks per call, and
+iter_disjoint_pairs, which yields one per disjoint pair; a walk's edge sets
+are built when the full kernel first reads them.  find_ladders reads only
+a_m, so it computes just the distance row of each disjoint pair.
+The bigon and triangle scans classify their enumerated geodesics without
+validating them again, and the triangle scan enumerates each ordered side
+once per scan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations, combinations_with_replacement, islice, product
+from itertools import chain, combinations, combinations_with_replacement, islice
+from operator import eq
 from typing import Iterator, Optional, Sequence, Union
 
 from .graphs import (
@@ -82,31 +87,39 @@ class PairStats:
 
 
 class _Walk:
-    """A walk prepared once for the pair kernel.
+    """A walk prepared once for the pair scans.
 
-    rows[i] is the BFS distance row of vertex i of the walk, at maps each
-    vertex to its index (-1 when the vertex repeats), edges holds the
-    directed edges (a, b) and steps the indexed edges (i, a, b).
+    rows[i] is the BFS distance row of vertex i of the walk, and at maps each
+    vertex to its index (-1 when the vertex repeats).  edges() builds the edge
+    sets, which only the full pair kernel reads, at its first call.
     """
 
-    __slots__ = ("path", "rows", "at", "edges", "steps")
+    __slots__ = ("path", "rows", "at", "_edges")
 
     def __init__(self, g: Graph, path: PathSeq):
         vs = path.vertices
         at: dict[int, int] = {}
         for i, v in enumerate(vs):
             at[v] = -1 if v in at else i
-        edges = tuple(zip(vs, vs[1:]))
         self.path = path
         self.rows = [g.dag(a).dist for a in vs]
         self.at = at
-        self.edges = frozenset(edges)
-        self.steps = frozenset((i, a, b) for i, (a, b) in enumerate(edges))
+        self._edges = None
+
+    def edges(self) -> tuple[frozenset, frozenset]:
+        """The directed edges (a, b) and the indexed edges (i, a, b) of the walk."""
+        if self._edges is None:
+            vs = self.path.vertices
+            steps = tuple(zip(vs, vs[1:]))
+            self._edges = frozenset(steps), frozenset((i, *e) for i, e in enumerate(steps))
+        return self._edges
 
 
 def _disjoint(w1: _Walk, w2: _Walk) -> bool:
     """Asynchronous disjointness: every shared vertex sits once in each walk, at one index."""
     at1, at2 = w1.at, w2.at
+    if at1.keys().isdisjoint(at2):
+        return True
     for v in at1.keys() & at2.keys():
         i = at1[v]
         if i < 0 or i != at2[v]:
@@ -114,18 +127,25 @@ def _disjoint(w1: _Walk, w2: _Walk) -> bool:
     return True
 
 
-def _pair_kernel(w1: _Walk, w2: _Walk, m: int, disjoint: bool) -> PairStats:
-    """PairStats of two prepared equal-length walks whose disjointness is known."""
+def _distances(w1: _Walk, w2: _Walk) -> tuple[int, ...]:
+    """d(p1(i), p2(i)) for every index i of two equal-length walks; raises
+    UnreachablePairError at the first index whose vertices share no component."""
     p2 = w2.path.vertices
     distances = tuple(map(list.__getitem__, w1.rows, p2))
     if UNREACHED in distances:
         i = distances.index(UNREACHED)
         raise UnreachablePairError(f"no path between vertices {w1.path[i]} and {p2[i]}")
-    a_m = distances.count(m)
+    return distances
+
+
+def _pair_kernel(w1: _Walk, w2: _Walk, m: int, disjoint: bool) -> PairStats:
+    """PairStats of two prepared equal-length walks whose disjointness is known."""
+    distances = _distances(w1, w2)
+    (edges1, steps1), (edges2, steps2) = w1.edges(), w2.edges()
+    co = not edges1.isdisjoint(edges2)
+    sync = co and not steps1.isdisjoint(steps2)
     c_m = sum(1 for d in distances if 1 <= d <= m)
-    co = not w1.edges.isdisjoint(w2.edges)
-    sync = co and not w1.steps.isdisjoint(w2.steps)
-    return PairStats(m, distances, a_m, c_m, disjoint, co, sync)
+    return PairStats(m, distances, distances.count(m), c_m, disjoint, co, sync)
 
 
 def pair_stats(g: Graph, p1: PathSeq, p2: PathSeq, m: int) -> PairStats:
@@ -240,35 +260,37 @@ def _vertex_pairs(g: Graph, pair_filter, cov: Coverage) -> Iterator[tuple[int, i
     yield from sorted(rows)
 
 
-def _geodesics(g: Graph, u: int, v: int, scope: SearchScope, cov: Coverage) -> list[PathSeq]:
-    """Geodesics u -> v up to scope.max_geodesics; a truncated list marks cov.exhausted."""
-    geos, truncated = enumerate_geodesics(g, u, v, limit=scope.max_geodesics)
-    cov.exhausted |= truncated
-    return geos
-
-
 def _pair_geodesics(g: Graph, pair_filter, scope: SearchScope, cov: Coverage):
-    """(d, geodesics u -> v) of each scoped vertex pair, counted in cov.pairs_scanned."""
+    """(d, geodesics u -> v) of each scoped vertex pair, counted in cov.pairs_scanned;
+    at most scope.max_geodesics per pair, and a truncated list marks cov.exhausted."""
     for d, u, v in _capped(_vertex_pairs(g, pair_filter, cov), scope.max_pairs, cov):
         cov.pairs_scanned += 1
-        yield d, _geodesics(g, u, v, scope, cov)
+        geos, truncated = enumerate_geodesics(g, u, v, limit=scope.max_geodesics)
+        cov.exhausted |= truncated
+        yield d, geos
 
 
 def iter_disjoint_pairs(
     host: GraphOrBall, m: int, scope: Optional[SearchScope] = None
 ) -> Iterator[tuple[PathSeq, PathSeq, PairStats]]:
-    """Asynchronously disjoint equal-length geodesic pairs within scope.
+    """Asynchronously disjoint equal-length geodesic pairs within scope,
+    each with its full PairStats at width m.
 
     Geodesics are enumerated per vertex pair (pairs ordered by distance then
     lexicographically, each geodesic directed from the smaller endpoint),
     bucketed by length, and paired within each bucket, so the two geodesics
     of a pair may join different endpoint pairs.  The geodesics come from
-    enumeration, so no pair is validated again.
+    enumeration, so no pair is validated again.  A width below 1 raises
+    ValueError at the call, before any pair is produced.
     """
-    yield from _disjoint_pairs(host, m, scope or SearchScope(), Coverage())
+    if m < 1:
+        raise ValueError("width m must be at least 1")
+    pairs = _disjoint_walk_pairs(host, scope or SearchScope(), Coverage())
+    return ((w1.path, w2.path, _pair_kernel(w1, w2, m, True)) for w1, w2 in pairs)
 
 
-def _disjoint_pairs(host, m, scope, cov):
+def _disjoint_walk_pairs(host, scope, cov):
+    """The prepared walk pairs of the ladder pairing that pass the disjointness test."""
     g, pair_filter = _graph_and_filter(host)
     buckets: dict[int, list[PathSeq]] = {}
     for d, geos in _pair_geodesics(g, pair_filter, scope, cov):
@@ -282,7 +304,7 @@ def _disjoint_pairs(host, m, scope, cov):
         # Walks that share a vertex lie in one component, so a pair
         # skipped here cannot hold an unreachable index.
         if _disjoint(w1, w2):
-            yield w1.path, w2.path, _pair_kernel(w1, w2, m, True)
+            yield w1, w2
 
 
 def find_ladders(
@@ -291,7 +313,9 @@ def find_ladders(
     """Scoped search for width-m ladder-like structures.
 
     k_verified is the caller-certified geodeticity constant of the host; it
-    only feeds the reported bound A(m, k).  Every report's pair is verified
+    only feeds the reported bound A(m, k).  The search pairs geodesics as
+    iter_disjoint_pairs does, but reads only a_m: each disjoint pair costs
+    its distance row, and no PairStats is built.  Every report's pair is
     asynchronously disjoint with height a_m >= 1.  For a CayleyBall only
     trusted pairs enter the scan and the skipped ones are counted.
     """
@@ -299,16 +323,18 @@ def find_ladders(
         raise ValueError("k_verified must be at least 1")
     bound = ladder_bound_A(m, k_verified)
     cov = Coverage()
-    for p1, p2, stats in _disjoint_pairs(host, m, scope or SearchScope(), cov):
-        if stats.a_m >= 1:
-            cov.found.append(LadderReport(p1, p2, m, stats.a_m, bound, stats.a_m <= bound))
+    for w1, w2 in _disjoint_walk_pairs(host, scope or SearchScope(), cov):
+        a_m = _distances(w1, w2).count(m)
+        if a_m:
+            cov.found.append(LadderReport(w1.path, w2.path, m, a_m, bound, a_m <= bound))
     return cov
 
 
 def ladder_report_line(r: LadderReport) -> str:
+    v1, v2 = r.gamma1.vertices, r.gamma2.vertices
     return (
-        f"ladder: p1={r.gamma1.start}->{r.gamma1.end} p2={r.gamma2.start}->{r.gamma2.end} "
-        f"len={r.gamma1.length} m={r.m} height={r.height} bound={r.bound} "
+        f"ladder: p1={v1[0]}->{v1[-1]} p2={v2[0]}->{v2[-1]} "
+        f"len={len(v1) - 1} m={r.m} height={r.height} bound={r.bound} "
         f"within={'true' if r.within_bound else 'false'}"
     )
 
@@ -384,18 +410,22 @@ def enumerate_bigons(host: GraphOrBall, scope: Optional[SearchScope] = None) -> 
 
     The Coverage counts pairs as find_ladders does, skipped being every
     untrusted pair passed over before the scan stopped; max_geodesic_pairs
-    bounds only the ladder pairing, so geodesic_pairs_scanned stays 0.
+    bounds only the ladder pairing, so geodesic_pairs_scanned stays 0.  The
+    sides come from one enumeration, so they are classified as classify_bigon
+    would without its checks.
     """
     g, pair_filter = _graph_and_filter(host)
     cov = Coverage()
     for _, geos in _pair_geodesics(g, pair_filter, scope or SearchScope(), cov):
-        cov.found.extend(classify_bigon(g, a, b) for a, b in combinations(geos, 2))
+        for a, b in combinations(geos, 2):
+            cov.found.append(Bigon(a, b, any(map(eq, a.vertices[1:-1], b.vertices[1:-1]))))
     return cov
 
 
 def bigon_report_line(b: Bigon) -> str:
+    vs = b.alpha.vertices
     return (
-        f"bigon: u={b.alpha.start} v={b.alpha.end} len={b.alpha.length} "
+        f"bigon: u={vs[0]} v={vs[-1]} len={len(vs) - 1} "
         f"degenerate={'true' if b.degenerate else 'false'}"
     )
 
@@ -446,21 +476,41 @@ def enumerate_triangles(host: GraphOrBall, scope: Optional[SearchScope] = None) 
     The triple cap reuses scope.max_pairs, and pairs_scanned counts triples;
     skipped counts the untrusted triples passed over before the scan stopped.
     max_geodesic_pairs bounds only the ladder pairing, so
-    geodesic_pairs_scanned stays 0.
+    geodesic_pairs_scanned stays 0.  Each ordered side (a, b) is enumerated
+    once per scan, and its geodesics are kept with their index-1.. tail sets.
     """
     scope = scope or SearchScope()
     g, pair_filter = _graph_and_filter(host)
     cov = Coverage()
+    sides: dict[tuple[int, int], list] = {}
+
+    def side(a: int, b: int) -> list[tuple[PathSeq, frozenset, bool]]:
+        """(geodesic, tail, zero length) of each geodesic a -> b, enumerated at the first call."""
+        rows = sides.get((a, b))
+        if rows is None:
+            geos, truncated = enumerate_geodesics(g, a, b, limit=scope.max_geodesics)
+            # exhausted only ever turns on, so a side met again need not mark it.
+            cov.exhausted |= truncated
+            rows = [(p, frozenset(p.vertices[1:]), len(p.vertices) == 1) for p in geos]
+            sides[a, b] = rows
+        return rows
+
     for x, y, z in _capped(_corner_triples(g, pair_filter, cov), scope.max_pairs, cov):
         cov.pairs_scanned += 1
-        sides = [_geodesics(g, a, b, scope, cov) for a, b in ((x, y), (y, z), (z, x))]
-        cov.found.extend(classify_triangle(g, *abc) for abc in product(*sides))
+        alphas, betas, gammas = side(x, y), side(y, z), side(z, x)
+        for a, ta, za in alphas:
+            for b, tb, zb in betas:
+                ab = za or zb or not ta.isdisjoint(tb)
+                for c, tc, zc in gammas:
+                    degenerate = ab or zc or not (ta.isdisjoint(tc) and tb.isdisjoint(tc))
+                    cov.found.append(GeodesicTriangle(a, b, c, degenerate))
     return cov
 
 
 def triangle_report_line(t: GeodesicTriangle) -> str:
+    va, vb, vc = t.alpha.vertices, t.beta.vertices, t.gamma.vertices
     return (
-        f"triangle: corners={t.alpha.start},{t.beta.start},{t.gamma.start} "
-        f"sides={t.alpha.length},{t.beta.length},{t.gamma.length} "
+        f"triangle: corners={va[0]},{vb[0]},{vc[0]} "
+        f"sides={len(va) - 1},{len(vb) - 1},{len(vc) - 1} "
         f"degenerate={'true' if t.degenerate else 'false'}"
     )

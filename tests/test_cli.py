@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from geodetic import cli
@@ -14,6 +16,15 @@ Z2Z2_GROUP = (
     "ball R=6\n"
 )
 C4_GRAPH = "graph 4\ne 0 1\ne 1 2\ne 2 3\ne 3 0\n"
+ZXZ_R4 = (
+    "group product cyclic 0 cyclic 0\n"
+    "gen a pow 1, pow 0\n"
+    "gen a' pow -1, pow 0\n"
+    "gen b pow 0, pow 1\n"
+    "gen b' pow 0, pow -1\n"
+    "ball R=4\n"
+)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, argv):
@@ -202,6 +213,27 @@ def test_ladders_disconnected_host_error(capsys, tmp_path):
     path.write_text("graph 6\ne 0 1\ne 1 2\ne 3 4\ne 4 5\n")
     result = run(capsys, ["ladders", "--graph", str(path), "--m", "1", "--k", "1"])
     assert result == (2, "", "error: no path between vertices 0 and 3\n")
+
+
+SCAN_COMMANDS = [
+    ["ladders", "--m", "1"],
+    ["ladders", "--m", "2", "--scope-pairs", "50"],
+    ["bigons", "--verbose"],
+    ["triangles", "--verbose", "--scope-pairs", "300"],
+]
+
+
+def test_scans_golden(capsys, tmp_path):
+    # Captured before the scans stopped building what they do not print;
+    # each command's stdout follows a "$ geodetic <args>" line.
+    path = tmp_path / "zxz.grp"
+    path.write_text(ZXZ_R4)
+    chunks = []
+    for argv in SCAN_COMMANDS:
+        code, out, err = run(capsys, [*argv, "--group", str(path)])
+        assert (code, err) == (0, "")
+        chunks.append(f"$ geodetic {' '.join(argv)}\n{out}")
+    assert "".join(chunks).encode() == (GOLDEN / "scans_zz_r4.txt").read_bytes()
 
 
 def test_bigons_c4(capsys, c4):

@@ -17,6 +17,7 @@ from geodetic import (
     ladder_bound_A,
     min_geodetic_k,
     pair_stats,
+    parse_group_file,
     shorten_paths,
 )
 from geodetic import geometry, zoo
@@ -493,3 +494,54 @@ def test_ladder_scan_does_not_validate_pairs(monkeypatch):
 
     monkeypatch.setattr(geometry, "validate_path", refuse)
     assert [find_ladders(host, 1, k) for host, k in hosts] == want
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_iter_disjoint_pairs_rejects_bad_width_at_the_call(m):
+    with pytest.raises(ValueError, match="^width m must be at least 1$"):
+        iter_disjoint_pairs(cycle_graph(6), m)
+
+
+def test_find_ladders_error_matches_oracle_on_two_components():
+    g = _two_components()
+    for m in (1, 2):
+        for scan in (find_ladders, naive_find_ladders):
+            with pytest.raises(UnreachablePairError, match="^no path between vertices 0 and 3$"):
+                scan(g, m, 1, SearchScope())
+
+
+def _zxz_ball(radius):
+    gf = parse_group_file(
+        "group product cyclic 0 cyclic 0\n"
+        "gen a pow 1, pow 0\ngen a' pow -1, pow 0\ngen b pow 0, pow 1\ngen b' pow 0, pow -1\n"
+    )
+    return cayley_ball(gf.spec, gf.genset, radius)
+
+
+@pytest.mark.parametrize("host", [_zxz_ball(3), cycle_graph(6)], ids=["zxz-r3", "c6"])
+def test_triangle_scan_enumerates_each_side_once(monkeypatch, host):
+    want = [naive_triangles(host, scope) for scope in SCAN_SCOPES]
+    calls = []
+
+    def counting(g, u, v, limit=None):
+        calls.append((u, v))
+        return enumerate_geodesics(g, u, v, limit)
+
+    monkeypatch.setattr(geometry, "enumerate_geodesics", counting)
+    for scope, cov in zip(SCAN_SCOPES, want):
+        calls.clear()
+        assert enumerate_triangles(host, scope) == cov
+        assert calls and len(calls) == len(set(calls))
+
+
+def test_bigon_and_triangle_scans_do_not_validate_sides(monkeypatch):
+    hosts = [host for host, _ in _scan_hosts()]
+    want = [(naive_bigons(host, SearchScope()), naive_triangles(host, SearchScope()))
+            for host in hosts]
+
+    def refuse(*args):
+        raise AssertionError("side validated again")
+
+    for name in ("validate_path", "classify_bigon", "classify_triangle"):
+        monkeypatch.setattr(geometry, name, refuse)
+    assert [(enumerate_bigons(host), enumerate_triangles(host)) for host in hosts] == want
