@@ -167,6 +167,8 @@ def cmd_min_k(args) -> int:
 
 def cmd_ladders(args) -> int:
     scope = _scope(args)
+    if args.m < 1:
+        raise ValueError("width m must be at least 1")
     host = _load_host(args)
     k = args.k if args.k is not None else _min_k(host)[0]
     cov = find_ladders(host, args.m, k, scope)

@@ -11,7 +11,9 @@ length <= R evaluates inside the radius-R ball, and all geodesics from the
 identity to a ball member stay inside, so no query silently leaves the
 trusted region.  Words are read by walking CayleyBall.steps from vertex
 to vertex; every step starts at a vertex of norm < R, so no walk meets a
--1.  Only power_language and centraliser_in_ball multiply elements.
+-1.  Only power_language and centraliser_in_ball multiply elements, and
+power_language reads the geodesics of every power off the one BFS at the
+identity.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .graphs import enumerate_geodesics
-from .groups import CayleyBall, Element
+from .groups import CayleyBall, Element, word_to_element
 from .words import EMPTY_WORD, Word, format_word, parse_word
 
 
@@ -115,55 +117,41 @@ class FactorAutomaton:
                 if letter not in letters:
                     raise ValueError(f"forbidden word uses unknown letter {letter!r}")
         self.letters = tuple(letters)
-        children: list[dict[str, int]] = [{}]
+        # goto[q] holds the trie edges of q until the breadth-first pass
+        # fills in its remaining letters through the failure link.
+        goto: list[dict[str, int]] = [{}]
         terminal = [False]
         for w in fwords:
             cur = 0
             for letter in w:
-                nxt = children[cur].get(letter)
-                if nxt is None:
-                    children.append({})
+                if letter not in goto[cur]:
+                    goto[cur][letter] = len(goto)
+                    goto.append({})
                     terminal.append(False)
-                    nxt = len(children) - 1
-                    children[cur][letter] = nxt
-                cur = nxt
+                cur = goto[cur][letter]
             terminal[cur] = True
-        fail = [0] * len(children)
-        goto = [dict() for _ in children]
-        order = deque()
+        fail = [0] * len(goto)
+        order = deque(goto[0].values())
         for letter in letters:
-            child = children[0].get(letter)
-            if child is None:
-                goto[0][letter] = 0
-            else:
-                goto[0][letter] = child
-                fail[child] = 0
-                order.append(child)
+            goto[0].setdefault(letter, 0)
         while order:
             u = order.popleft()
-            if terminal[fail[u]]:
-                terminal[u] = True
+            terminal[u] = terminal[u] or terminal[fail[u]]
             for letter in letters:
-                child = children[u].get(letter)
+                child = goto[u].get(letter)
                 if child is None:
                     goto[u][letter] = goto[fail[u]][letter]
                 else:
                     fail[child] = goto[fail[u]][letter]
-                    goto[u][letter] = child
                     order.append(child)
-        live = [q for q in range(len(children)) if not terminal[q]]
+        live = [q for q in range(len(goto)) if not terminal[q]]
         remap = {q: i for i, q in enumerate(live)}
         self.dead = len(live)
         self.state_count = len(live) + 1
-        table: list[dict[str, int]] = []
-        for q in live:
-            row = {}
-            for letter in letters:
-                r = goto[q][letter]
-                row[letter] = self.dead if terminal[r] else remap[r]
-            table.append(row)
-        table.append({letter: self.dead for letter in letters})
-        self.transitions = table
+        self.transitions = [
+            {letter: remap.get(goto[q][letter], self.dead) for letter in letters} for q in live
+        ]
+        self.transitions.append(dict.fromkeys(letters, self.dead))
         # When λ itself is forbidden the root is terminal and nothing is live.
         self.start = remap.get(0, self.dead)
 
@@ -188,8 +176,8 @@ class FactorAutomaton:
                 lines.append(f"{q} {letter} -> {row[letter]}")
         return lines
 
-    def to_dot(self, name: str = "automaton") -> str:
-        lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    def to_dot(self) -> str:
+        lines = ["digraph automaton {", "  rankdir=LR;"]
         for q in range(self.state_count):
             shape = "box" if q == self.dead else "doublecircle"
             lines.append(f'  {q} [shape={shape}];')
@@ -305,7 +293,8 @@ def _fit_tail(tail: Sequence[tuple[Word, ...]]):
     likewise gamma, so the split points are plain prefix/suffix cuts.  The
     canonical fit takes the shortest alpha/gamma spans (maximal pumped
     middle, maximal q), and only a fit that reconstructs every observed
-    language exactly is reported.
+    language exactly is reported; that rebuild implies every shared prefix,
+    suffix and middle, so nothing else is checked.
     """
     total = len(tail[0])
     if total == 0 or any(len(lang) != total for lang in tail):
@@ -314,52 +303,23 @@ def _fit_tail(tail: Sequence[tuple[Word, ...]]):
     period = lens[1] - lens[0]
     if period < 1 or any(b - a != period for a, b in zip(lens, lens[1:])):
         return None
-    l0 = lens[0]
+    first, l0 = tail[0][0], lens[0]
     for a_len in range(l0 + 1):
-        prefixes = {w[:a_len] for w in tail[0]}
-        if any({w[:a_len] for w in lang} != prefixes for lang in tail[1:]):
-            continue
-        if total % len(prefixes):
-            continue
+        alpha = {w[:a_len] for w in tail[0]}
+        block = tail[1][0][a_len : a_len + period]
         for g_len in range(l0 - a_len + 1):
-            suffixes = {w[len(w) - g_len :] if g_len else EMPTY_WORD for w in tail[0]}
-            if any(
-                {w[len(w) - g_len :] if g_len else EMPTY_WORD for w in lang} != suffixes
-                for lang in tail[1:]
-            ):
+            gamma = {w[len(w) - g_len :] for w in tail[0]}
+            if len(alpha) * len(gamma) != total:
                 continue
-            if len(prefixes) * len(suffixes) != total:
-                continue
-            mids = []
-            ok = True
-            for lang in tail:
-                cut = {w[a_len : len(w) - g_len] for w in lang}
-                if len(cut) != 1:
-                    ok = False
-                    break
-                mids.append(next(iter(cut)))
-            if not ok:
-                continue
-            block = mids[1][:period]
-            if any(mids[c + 1] != block + mids[c] for c in range(len(mids) - 1)):
-                continue
-            q, r = divmod(len(mids[0]), period)
-            t = mids[0][q * period :]
+            q, r = divmod(l0 - a_len - g_len, period)
+            t = first[a_len + q * period : l0 - g_len]
             if block[:r] != t:
                 continue
-            s = block[r:]
-            if any(mids[c] != block * (q + c) + t for c in range(len(mids))):
-                continue
-            alpha = tuple(sorted(prefixes))
-            gamma = tuple(sorted(suffixes))
-            fits = True
-            for c, lang in enumerate(tail):
-                rebuilt = {a + block * (q + c) + t + g for a in alpha for g in gamma}
-                if rebuilt != set(lang):
-                    fits = False
-                    break
-            if fits:
-                return alpha, t, s, q, gamma
+            if all(
+                set(lang) == {a + block * (q + c) + t + g for a in alpha for g in gamma}
+                for c, lang in enumerate(tail)
+            ):
+                return tuple(sorted(alpha)), t, block[r:], q, tuple(sorted(gamma))
     return None
 
 
@@ -378,12 +338,11 @@ def power_language(ball: CayleyBall, g_word: Word, n_max: int) -> PowerLanguageR
     """Geodesic-word sets of g^n for n = 0..n_max, with stabilization fit.
 
     The base element must have infinite order (the specs carry exact order
-    oracles) and every analyzed power must lie inside the ball.
+    oracles) and every analyzed power must lie inside the ball.  All powers
+    read the one BFS at the identity, ball.graph.dag(0).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    from .groups import word_to_element
-
     spec = ball.spec
     g = word_to_element(spec, ball.genset, g_word)
     order = spec.element_order(g)
@@ -398,8 +357,9 @@ def power_language(ball: CayleyBall, g_word: Word, n_max: int) -> PowerLanguageR
             raise BallRangeError(
                 f"power {n} of the base element leaves the radius-{ball.radius} ball"
             )
-        paths, _ = enumerate_geodesics(ball.graph, 0, v)
-        words = sorted(ball.word_of_path(p.vertices) for p in paths)
+        # A geodesic from g^n to 1, read backwards, is one from 1 to g^n.
+        paths, _ = enumerate_geodesics(ball.graph, v, 0)
+        words = sorted(ball.word_of_path(p.vertices[::-1]) for p in paths)
         languages.append(tuple(words))
         e = spec.multiply(e, g)
     stab = _detect_stabilization(languages)
@@ -419,7 +379,7 @@ def forbidden_set_lines(forbidden: ForbiddenSet) -> list[str]:
     return lines
 
 
-def parse_forbidden_file(text: str, alphabet=None) -> ForbiddenSet:
+def parse_forbidden_file(text: str) -> ForbiddenSet:
     """Inverse of forbidden_set_lines; words use the apostrophe convention."""
     e = None
     words = []
@@ -433,7 +393,7 @@ def parse_forbidden_file(text: str, alphabet=None) -> ForbiddenSet:
                 raise ValueError(f"line {lineno}: expected 'forbidden e=<e>'")
             e = int(parts[1][2:])
         else:
-            words.append(parse_word(line, alphabet))
+            words.append(parse_word(line))
     if e is None:
         raise ValueError("missing 'forbidden e=<e>' header")
     return ForbiddenSet(e, frozenset(words))

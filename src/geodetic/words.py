@@ -43,9 +43,6 @@ class Alphabet:
     def inv(self, letter: str) -> str:
         return self.inverse[letter]
 
-    def sorted_letters(self) -> list[str]:
-        return sorted(self.letters)
-
 
 def primed_alphabet(base_letters: Iterable[str]) -> Alphabet:
     """Alphabet holding x and x' for each base letter, paired as inverses."""

@@ -5,7 +5,9 @@ divisor scans, and direct membership checks, free of the library's own
 algorithms so that agreement actually means something.  The scoped-search
 oracles (ladders, bigons, triangles) choose and cap their vertex pairs and
 corner triples from a full scan of plain BFS rows, classify by hand, and
-reuse only the library's geodesic enumeration.
+reuse only the library's geodesic enumeration.  The language oracles are
+the earlier, longer forms of the stabilisation fit and the factor
+automaton, with every pruning step spelled out.
 """
 
 from __future__ import annotations
@@ -338,3 +340,118 @@ def naive_triangles(host, scope) -> Coverage:
                         degenerate = bool(ta & tb or ta & tc or tb & tc)
                     cov.found.append(GeodesicTriangle(a, b, c, degenerate))
     return cov
+
+
+def naive_fit_tail(tail):
+    """Fit alpha (ts)^(q+c) t gamma to consecutive languages, step by step.
+
+    Tries (a_len, g_len) in the library's order and checks the shared
+    prefix and suffix sets, the single middle of each language and its
+    recurrence before rebuilding every language.  Returns the library's
+    (alpha, t, s, q, gamma) or None.
+    """
+    total = len(tail[0])
+    if total == 0 or any(len(lang) != total for lang in tail):
+        return None
+    lens = [len(lang[0]) for lang in tail]
+    period = lens[1] - lens[0]
+    if period < 1 or any(b - a != period for a, b in zip(lens, lens[1:])):
+        return None
+    l0 = lens[0]
+    for a_len in range(l0 + 1):
+        prefixes = {w[:a_len] for w in tail[0]}
+        if any({w[:a_len] for w in lang} != prefixes for lang in tail[1:]):
+            continue
+        if total % len(prefixes):
+            continue
+        for g_len in range(l0 - a_len + 1):
+            suffixes = {w[len(w) - g_len :] if g_len else () for w in tail[0]}
+            if any(
+                {w[len(w) - g_len :] if g_len else () for w in lang} != suffixes
+                for lang in tail[1:]
+            ):
+                continue
+            if len(prefixes) * len(suffixes) != total:
+                continue
+            mids = []
+            ok = True
+            for lang in tail:
+                cut = {w[a_len : len(w) - g_len] for w in lang}
+                if len(cut) != 1:
+                    ok = False
+                    break
+                mids.append(next(iter(cut)))
+            if not ok:
+                continue
+            block = mids[1][:period]
+            if any(mids[c + 1] != block + mids[c] for c in range(len(mids) - 1)):
+                continue
+            q, r = divmod(len(mids[0]), period)
+            t = mids[0][q * period :]
+            if block[:r] != t:
+                continue
+            s = block[r:]
+            if any(mids[c] != block * (q + c) + t for c in range(len(mids))):
+                continue
+            alpha = tuple(sorted(prefixes))
+            gamma = tuple(sorted(suffixes))
+            fits = True
+            for c, lang in enumerate(tail):
+                rebuilt = {a + block * (q + c) + t + g for a in alpha for g in gamma}
+                if rebuilt != set(lang):
+                    fits = False
+                    break
+            if fits:
+                return alpha, t, s, q, gamma
+    return None
+
+
+def naive_factor_automaton(forbidden, letters):
+    """(transitions, start, dead) of the factor-excluding DFA over letters.
+
+    Builds the Aho-Corasick trie and its transition table side by side,
+    then drops every state that has a forbidden word as a suffix into one
+    absorbing dead state, numbering the live states in trie order.
+    """
+    letters = sorted(set(letters))
+    fwords = sorted(set(map(tuple, forbidden)), key=lambda w: (len(w), w))
+    children = [{}]
+    terminal = [False]
+    for w in fwords:
+        cur = 0
+        for letter in w:
+            if letter not in children[cur]:
+                children.append({})
+                terminal.append(False)
+                children[cur][letter] = len(children) - 1
+            cur = children[cur][letter]
+        terminal[cur] = True
+    fail = [0] * len(children)
+    goto = [{} for _ in children]
+    order = deque()
+    for letter in letters:
+        child = children[0].get(letter)
+        goto[0][letter] = 0 if child is None else child
+        if child is not None:
+            order.append(child)
+    while order:
+        u = order.popleft()
+        if terminal[fail[u]]:
+            terminal[u] = True
+        for letter in letters:
+            child = children[u].get(letter)
+            if child is None:
+                goto[u][letter] = goto[fail[u]][letter]
+            else:
+                fail[child] = goto[fail[u]][letter]
+                goto[u][letter] = child
+                order.append(child)
+    live = [q for q in range(len(children)) if not terminal[q]]
+    remap = {q: i for i, q in enumerate(live)}
+    dead = len(live)
+    table = [
+        {letter: dead if terminal[goto[q][letter]] else remap[goto[q][letter]] for letter in letters}
+        for q in live
+    ]
+    table.append({letter: dead for letter in letters})
+    return table, remap.get(0, dead), dead

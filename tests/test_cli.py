@@ -215,6 +215,17 @@ def test_ladders_disconnected_host_error(capsys, tmp_path):
     assert result == (2, "", "error: no path between vertices 0 and 3\n")
 
 
+
+@pytest.mark.parametrize("width", ["0", "-1"])
+def test_ladders_rejects_width_before_any_bfs(capsys, c4, monkeypatch, width):
+    def no_bfs(self, source, count_cap=None):
+        raise AssertionError(f"BFS from vertex {source}")
+
+    monkeypatch.setattr(Graph, "dag", no_bfs)
+    result = run(capsys, ["ladders", "--graph", c4, "--m", width])
+    assert result == (2, "", "error: width m must be at least 1\n")
+
+
 SCAN_COMMANDS = [
     ["ladders", "--m", "1"],
     ["ladders", "--m", "2", "--scope-pairs", "50"],
@@ -234,6 +245,46 @@ def test_scans_golden(capsys, tmp_path):
         assert (code, err) == (0, "")
         chunks.append(f"$ geodetic {' '.join(argv)}\n{out}")
     assert "".join(chunks).encode() == (GOLDEN / "scans_zz_r4.txt").read_bytes()
+
+
+Z2Z3_GROUP = "group plain Z=0 factors=2,3\ngen a word a\ngen b word b\ngen b' word b^2\nball R=12\n"
+ZXZ_R6 = ZXZ_R4.replace("ball R=4", "ball R=6")
+# golden file -> (group file, commands); the Z x Z powers need radius 10,
+# since (ab)^4 already leaves the radius-6 ball.
+LANG_GOLDENS = {
+    "lang_zz.txt": (ZXZ_R6, [
+        ["forbidden", "--e", "4"],
+        ["automaton", "--e", "4"],
+        ["powers", "ab", "--nmax", "5", "--radius", "10"],
+    ]),
+    "lang_z2z3.txt": (Z2Z3_GROUP, [
+        ["forbidden", "--e", "4"],
+        ["automaton", "--e", "4"],
+        ["powers", "ab", "--nmax", "5"],
+        ["powers", "abab'", "--nmax", "2"],
+        ["powers", "bab", "--nmax", "4"],
+    ]),
+    "lang_z.txt": (Z_GROUP, [
+        ["forbidden", "--e", "3"],
+        ["automaton", "--e", "3"],
+        ["powers", "a", "--nmax", "60", "--radius", "60"],
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANG_GOLDENS))
+def test_language_goldens(capsys, tmp_path, name):
+    # Captured before power languages read the identity BFS and the
+    # stabilisation fit and factor automaton were cut down.
+    text, commands = LANG_GOLDENS[name]
+    path = tmp_path / "host.grp"
+    path.write_text(text)
+    chunks = []
+    for argv in commands:
+        code, out, err = run(capsys, [*argv, "--group", str(path)])
+        assert (code, err) == (0, "")
+        chunks.append(f"$ geodetic {' '.join(argv)}\n{out}")
+    assert "".join(chunks).encode() == (GOLDEN / name).read_bytes()
 
 
 def test_bigons_c4(capsys, c4):

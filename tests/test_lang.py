@@ -15,16 +15,18 @@ from geodetic import (
     minimal_forbidden_factors,
     power_language,
 )
+from geodetic.graphs import Graph
 from geodetic.lang import (
+    _fit_tail,
     forbidden_set_lines,
     parse_forbidden_file,
     power_report_lines,
 )
 from geodetic.groups import word_to_element
 from geodetic.words import parse_word
-from geodetic.zoo import free_group, infinite_cyclic, z_cross_z2
+from geodetic.zoo import free_group, infinite_cyclic, plain_group, z2_star_z2, z_cross_z2
 
-from oracles import has_factor_naive
+from oracles import has_factor_naive, naive_factor_automaton, naive_fit_tail
 
 
 def words_up_to(letters, max_len):
@@ -147,6 +149,88 @@ def test_automaton_matches_direct_scan(data):
     auto = build_factor_automaton(fwords, letters)
     for w in words_up_to(letters, 5):
         assert auto.accepts(w) == (not has_factor_naive(w, fwords))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_automaton_matches_the_trie_and_table_oracle(data):
+    letters = data.draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    fwords = data.draw(st.sets(st.lists(st.sampled_from(letters), max_size=4).map(tuple), max_size=6))
+    auto = build_factor_automaton(fwords, letters)
+    assert (auto.transitions, auto.start, auto.dead) == naive_factor_automaton(fwords, letters)
+    assert auto.state_count == len(auto.transitions)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fit_tail_matches_the_pruning_oracle(data):
+    # Languages alpha (ts)^(q+c) t gamma for c = 0 .. count-1, where the
+    # alpha words share one length and the gamma words another.
+    def words():
+        length = data.draw(st.integers(0, 2))
+        word = st.lists(st.sampled_from("abc"), min_size=length, max_size=length).map(tuple)
+        return data.draw(st.sets(word, min_size=1, max_size=3))
+
+    alpha, gamma = words(), words()
+    t = data.draw(st.lists(st.sampled_from("ab"), max_size=2).map(tuple))
+    s = data.draw(st.lists(st.sampled_from("ab"), max_size=3).map(tuple))
+    q = data.draw(st.integers(0, 2))
+    tail = [
+        tuple(sorted({a + (t + s) * (q + c) + t + g for a in alpha for g in gamma}))
+        for c in range(data.draw(st.integers(3, 5)))
+    ]
+    variant = data.draw(st.sampled_from(["as built", "one letter changed", "reversed"]))
+    if variant == "reversed":
+        tail = tail[::-1]
+    elif variant == "one letter changed":
+        c = data.draw(st.integers(0, len(tail) - 1))
+        lang = list(tail[c])
+        i = data.draw(st.integers(0, len(lang) - 1))
+        if lang[i]:
+            j = data.draw(st.integers(0, len(lang[i]) - 1))
+            w = list(lang[i])
+            w[j] = data.draw(st.sampled_from([x for x in "abcd" if x != w[j]]))
+            lang[i] = tuple(w)
+        tail[c] = tuple(sorted(set(lang)))
+    assert _fit_tail(tail) == naive_fit_tail(tail)
+
+
+@pytest.mark.parametrize(
+    "group, radius, base",
+    [
+        (free_group(2), 9, ("a", "b")),
+        (free_group(2), 9, ("a", "b", "a'")),
+        (z2_star_z2(), 12, ("a", "b")),
+        (plain_group(0, (2, 3)), 12, ("b", "a", "b")),
+        (plain_group(0, (2, 3)), 12, ("a", "b", "a", "b'")),
+        (z_cross_z2(), 8, ("a", "f")),
+        (z_cross_z2(), 8, ("a", "a", "f")),
+        (infinite_cyclic(), 12, ("a",)),
+    ],
+)
+def test_fit_tail_matches_the_oracle_on_power_languages(group, radius, base):
+    spec, gens = group
+    ball = cayley_ball(spec, gens, radius)
+    n_max = radius // len(base)
+    languages = power_language(ball, base, n_max).languages
+    for n in range(len(languages) - 2):
+        assert _fit_tail(languages[n:]) == naive_fit_tail(languages[n:])
+
+
+@pytest.mark.parametrize("group, base", [(infinite_cyclic(), ("a",)), (z_cross_z2(), ("a", "f"))])
+def test_power_language_reads_only_the_identity_bfs(group, base, monkeypatch):
+    spec, gens = group
+    ball = cayley_ball(spec, gens, 8)
+    want = power_language(cayley_ball(spec, gens, 8), base, 4)
+    original = Graph.dag
+
+    def identity_only(self, source, count_cap=None):
+        if source != 0:
+            raise AssertionError(f"BFS from vertex {source}")
+        return original(self, source, count_cap)
+
+    monkeypatch.setattr(Graph, "dag", identity_only)
+    assert power_language(ball, base, 4) == want
 
 
 def test_check_locally_excluding(z2z2_r8, free2_r4):

@@ -23,3 +23,10 @@ def test_ladder_survey_golden():
     result = run_script("ladder_survey.py")
     assert result.returncode == 0 and result.stderr == b""
     assert result.stdout == (ROOT / "tests" / "golden" / "ladder_survey_seed0.txt").read_bytes()
+
+
+def test_language_report_golden():
+    # Captured before power languages read the identity BFS.
+    result = run_script("language_report.py")
+    assert result.returncode == 0 and result.stderr == b""
+    assert result.stdout == (ROOT / "tests" / "golden" / "language_report.txt").read_bytes()

@@ -44,6 +44,8 @@ def test_traced_cli_matches_untraced(tmp_path):
         ["min-k", "--graph", str(graph), "--verbose"],
         ["ladders", "--group", str(group), "--m", "1"],
         ["ladders", "--graph", str(graph), "--m", "1"],
+        ["powers", "a", "--group", str(group), "--nmax", "3"],
+        ["automaton", "--group", str(group), "--e", "2"],
     ]
     plain = [run_cli(argv) for argv in commands]
     plain_dot = (tmp_path / "ball.dot").read_text()
@@ -68,6 +70,8 @@ def test_traced_cli_matches_untraced(tmp_path):
     assert metrics["graphs.dag_requests"] > 0
     assert metrics["geometry.pair_stats_calls"] > 0
     assert metrics["geometry.geodesic_pairs_scanned"] > 0
+    assert metrics["lang.power_words"] > 0
+    assert metrics["lang.automaton_states"] > 0
     spanned = {tracer.names[i] for i in tracer.span_name}
     assert {"cli.main", "groups.cayley_ball", "graphs.min_geodetic_k",
             "geometry.find_ladders"} <= spanned
