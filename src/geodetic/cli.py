@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Optional
 
 from .geometry import (
     Coverage,
@@ -73,11 +74,21 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_ball(args) -> CayleyBall:
+def _load_ball(args, e: Optional[int] = None) -> CayleyBall:
+    """The ball at the requested radius R, or at e when 1 <= e < R.
+
+    The language commands read only words of length <= e, which the
+    radius-e ball, a prefix of the radius-R one, already holds.  An e out
+    of range keeps R, so its error still comes from the language code.
+    """
+    if not args.group:
+        raise ValueError("pass --group FILE")
     gf = parse_group_file(_read(args.group))
     radius = args.radius if args.radius is not None else gf.default_radius
     if radius is None:
         raise ValueError("no radius: pass --radius or a 'ball R=<r>' line in the group file")
+    if e is not None and 1 <= e < radius:
+        radius = e
     return cayley_ball(gf.spec, gf.genset, radius)
 
 
@@ -199,7 +210,7 @@ def cmd_triangles(args) -> int:
 
 
 def cmd_forbidden(args) -> int:
-    ball = _load_ball(args)
+    ball = _load_ball(args, args.e)
     forbidden = minimal_forbidden_factors(ball, args.e)
     for line in forbidden_set_lines(forbidden):
         print(line)
@@ -213,7 +224,7 @@ def cmd_automaton(args) -> int:
         if not letters:
             raise ValueError("forbidden file carries no letters to build an alphabet from")
     else:
-        ball = _load_ball(args)
+        ball = _load_ball(args, args.e)
         if args.e is None:
             raise ValueError("pass --e for the forbidden-factor length bound")
         forbidden = minimal_forbidden_factors(ball, args.e)

@@ -318,6 +318,8 @@ class PlainSpec(GroupSpec):
         self.factor_count = free_rank + len(orders)
         if self.factor_count == 0:
             raise GroupSpecError("plain group needs at least one factor")
+        # Order of each factor by index, 0 for a Z factor.
+        self._orders = (0,) * free_rank + orders
 
     def __repr__(self):
         return f"PlainSpec(free_rank={self.free_rank}, factor_orders={list(self.factor_orders)})"
@@ -326,9 +328,7 @@ class PlainSpec(GroupSpec):
         """Order of the i-th free-product factor; None for a Z factor."""
         if not 0 <= i < self.factor_count:
             raise GroupSpecError(f"no factor {i}")
-        if i < self.free_rank:
-            return None
-        return self.factor_orders[i - self.free_rank]
+        return self._orders[i] or None
 
     def factor_name(self, i: int) -> str:
         if i < len(_FACTOR_NAMES):
@@ -342,21 +342,23 @@ class PlainSpec(GroupSpec):
     def identity(self):
         return ()
 
-    def _push(self, out: list, factor: int, e: int) -> None:
-        if out and out[-1][0] == factor:
-            merged = self._canonical_exp(factor, out[-1][1] + e)
-            out.pop()
-            if merged:
-                out.append((factor, merged))
-        else:
-            e = self._canonical_exp(factor, e)
-            if e:
-                out.append((factor, e))
-
     def multiply(self, a, b):
+        """Reduced form of a·b; the syllables of b need not be reduced.
+
+        Each syllable of b merges into the last one of the result when both
+        come from one factor, and a syllable that reduces to exponent 0
+        drops out, which may expose another syllable to merge with.
+        """
+        orders = self._orders
         out = list(a)
         for factor, e in b:
-            self._push(out, factor, e)
+            if out and out[-1][0] == factor:
+                e += out.pop()[1]
+            o = orders[factor]
+            if o:
+                e %= o
+            if e:
+                out.append((factor, e))
         return tuple(out)
 
     def inverse(self, a):
@@ -426,14 +428,13 @@ class PlainSpec(GroupSpec):
                 f"plain element expression must be 'word <syllable>...', got {text!r}"
             )
         name_to_factor = {self.factor_name(i): i for i in range(self.factor_count)}
-        out: list = []
+        syllables = []
         for token in parts[1:]:
             name, _, exp = token.partition("^")
             if name not in name_to_factor:
                 raise GroupSpecError(f"unknown factor letter {name!r}")
-            e = int(exp) if exp else 1
-            self._push(out, name_to_factor[name], e)
-        return tuple(out)
+            syllables.append((name_to_factor[name], int(exp) if exp else 1))
+        return self.multiply((), syllables)
 
 
 @dataclass(frozen=True)

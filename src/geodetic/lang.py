@@ -76,6 +76,9 @@ def minimal_forbidden_factors(ball: CayleyBall, e: int) -> ForbiddenSet:
     A word is minimal when it is non-geodesic and both maximal proper
     factors are geodesic (factors of geodesics are geodesic, so this covers
     every proper factor).  Grown layer by layer over geodesic words only.
+    The walk steps only from vertices of norm < e and compares norms <= e,
+    so the answer depends only on the radius-e ball: on any larger ball,
+    whose radius-e prefix is the same, it is the same.
     """
     if e < 1:
         raise ValueError("e must be at least 1")
@@ -389,9 +392,11 @@ def parse_forbidden_file(text: str) -> ForbiddenSet:
             continue
         if line.startswith("forbidden"):
             parts = line.split()
-            if len(parts) != 2 or not parts[1].startswith("e="):
-                raise ValueError(f"line {lineno}: expected 'forbidden e=<e>'")
-            e = int(parts[1][2:])
+            value = parts[1][2:] if len(parts) == 2 and parts[1].startswith("e=") else ""
+            try:
+                e = int(value)
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected 'forbidden e=<e>'") from None
         else:
             words.append(parse_word(line))
     if e is None:

@@ -455,3 +455,29 @@ def naive_factor_automaton(forbidden, letters):
     ]
     table.append({letter: dead for letter in letters})
     return table, remap.get(0, dead), dead
+
+
+def push_product(spec, a, b) -> tuple:
+    """PlainSpec product the earlier way: push b's syllables onto a one at a time.
+
+    A pushed syllable whose factor matches the top of the stack pops it and
+    pushes the merged syllable back unless its exponent reduces to 0; any
+    other syllable is reduced on its own and pushed unless that gives 0.
+    """
+
+    def canonical(factor, e):
+        o = spec.factor_order(factor)
+        return e % o if o else e
+
+    out = list(a)
+    for factor, e in b:
+        if out and out[-1][0] == factor:
+            merged = canonical(factor, out[-1][1] + e)
+            out.pop()
+            if merged:
+                out.append((factor, merged))
+        else:
+            e = canonical(factor, e)
+            if e:
+                out.append((factor, e))
+    return tuple(out)

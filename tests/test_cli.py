@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from geodetic import cli
+from geodetic import cayley_ball, cli
 from geodetic.graphs import Graph, graph_to_dot, parse_graph
 from geodetic.lang import parse_forbidden_file
 
@@ -368,6 +368,52 @@ def test_automaton_group_vs_file(capsys, tmp_path):
     assert from_file == from_group
 
 
+def test_forbidden_file_header_names_its_line(capsys, tmp_path):
+    fset = tmp_path / "fset.txt"
+    for text, lineno in (("forbidden e=x\naa\n", 1), ("# set\nforbidden e=\naa\n", 2)):
+        fset.write_text(text)
+        result = run(capsys, ["automaton", str(fset)])
+        assert result == (2, "", f"error: line {lineno}: expected 'forbidden e=<e>'\n")
+
+
+@pytest.mark.parametrize("command", ["forbidden", "automaton"])
+def test_language_commands_build_the_ball_to_radius_e(capsys, tmp_path, monkeypatch, command):
+    radii = []
+
+    def recording_ball(spec, genset, radius, budget=None):
+        radii.append(radius)
+        return cayley_ball(spec, genset, radius, budget)
+
+    monkeypatch.setattr(cli, "cayley_ball", recording_ball)
+    path = tmp_path / "z2z3.grp"
+    path.write_text(Z2Z3_GROUP)
+    group = ["--group", str(path)]
+    for flags in (["--e", "3"], ["--e", "3", "--radius", "20"], ["--e", "12"]):
+        code, out, _ = run(capsys, [command, *group, *flags])
+        assert code == 0 and out
+    assert radii == [3, 3, 12]
+    # Out-of-range bounds still meet the radius-R ball and their old messages.
+    radii.clear()
+    assert run(capsys, [command, *group, "--e", "13"]) == (
+        2, "", "error: e=13 exceeds the ball radius 12\n")
+    assert run(capsys, [command, *group, "--e", "0"]) == (2, "", "error: e must be at least 1\n")
+    assert radii == [12, 12]
+
+
+def test_language_commands_fit_the_budget_at_radius_e(capsys, tmp_path, monkeypatch):
+    # Z2*Z3 holds 22 elements at radius 4 and 442 at its file radius 12.
+    path = tmp_path / "z2z3.grp"
+    path.write_text(Z2Z3_GROUP)
+    group = ["--group", str(path)]
+    monkeypatch.setenv("GEODETIC_BALL_BUDGET", "22")
+    for command in ("forbidden", "automaton"):
+        explicit = run(capsys, [command, *group, "--e", "4", "--radius", "4"])
+        assert explicit[0] == 0 and explicit[1]
+        assert run(capsys, [command, *group, "--e", "4"]) == explicit
+    code, out, err = run(capsys, ["ball", *group])
+    assert (code, out) == (2, "") and "22-vertex budget" in err
+
+
 def test_automaton_dot(capsys, tmp_path):
     fset = tmp_path / "fset.txt"
     fset.write_text("forbidden e=2\naa\nbb\n")
@@ -447,6 +493,17 @@ def test_missing_file_is_reported(capsys):
 def test_host_required(capsys):
     code, _, err = run(capsys, ["min-k"])
     assert code == 2 and "--graph FILE or --group FILE" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ball"],
+    ["forbidden", "--e", "2"],
+    ["automaton", "--e", "2"],
+    ["powers", "a"],
+    ["centraliser", "a"],
+], ids=lambda argv: argv[0])
+def test_group_commands_require_a_group(capsys, argv):
+    assert run(capsys, argv) == (2, "", "error: pass --group FILE\n")
 
 
 def test_both_hosts_rejected(capsys, c4, c6):

@@ -31,7 +31,7 @@ from geodetic.zoo import (
     z_cross_z2,
 )
 
-from oracles import two_pass_ball
+from oracles import push_product, two_pass_ball
 
 
 def cyclic_table(n):
@@ -525,3 +525,86 @@ def test_zoo_group_constructors():
             assert gens.inverse_label[label] in labels
             inv = spec.inverse(gens.element(label))
             assert gens.element(gens.inverse_label[label]) == inv
+
+
+# Free and finite factors side by side; names a, b, c, ... by factor index.
+PLAIN_SPECS = [
+    PlainSpec(free_rank=2),
+    PlainSpec(free_rank=0, factor_orders=(2, 2)),
+    PlainSpec(free_rank=0, factor_orders=(2, 3)),
+    PlainSpec(free_rank=1, factor_orders=(2, 4, 5)),
+]
+
+
+@st.composite
+def plain_products(draw):
+    """(spec, a, b): a reduced, b raw syllables that may cancel a away entirely."""
+    spec = draw(st.sampled_from(PLAIN_SPECS))
+    syllables = st.lists(
+        st.tuples(st.integers(0, spec.factor_count - 1), st.integers(-7, 7)), max_size=8
+    )
+    a = push_product(spec, (), draw(syllables))
+    tail = draw(syllables)
+    b = draw(st.sampled_from([
+        tail,
+        spec.inverse(a),
+        tuple(spec.inverse(a)) + tuple(tail),
+        tuple(spec.inverse(a[len(a) // 2 :])) + tuple(tail),
+    ]))
+    return spec, a, tuple(b)
+
+
+@given(plain_products())
+@settings(max_examples=300, deadline=None)
+def test_plain_multiply_matches_push_oracle(case):
+    spec, a, b = case
+    got = spec.multiply(a, b)
+    assert got == push_product(spec, a, b)
+    spec.check_element(got)
+    if b == spec.inverse(a):
+        assert got == ()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_plain_parse_element_matches_push_oracle(data):
+    spec = data.draw(st.sampled_from(PLAIN_SPECS))
+    raw = data.draw(st.lists(
+        st.tuples(st.integers(0, spec.factor_count - 1), st.integers(-7, 7)), max_size=10
+    ))
+    tokens = [spec.factor_name(f) + ("" if e == 1 else f"^{e}") for f, e in raw]
+    assert spec.parse_element(" ".join(["word", *tokens])) == push_product(spec, (), raw)
+
+
+# Groups and the radius R of the larger ball; the finite cyclic groups are
+# complete from radius 3 (Z_7) and 2 (K_{3,3}) on.
+PREFIX_GROUPS = [
+    (lambda: free_group(2), 5),
+    (z2_star_z2, 7),
+    (lambda: plain_group(0, (2, 3)), 8),
+    (lambda: plain_group(1, (2, 3)), 4),
+    (z_cross_z2, 6),
+    (lambda: product_group(0, 0), 6),
+    (infinite_cyclic, 6),
+    (lambda: cyclic_with_step(7), 6),
+    (lambda: cyclic_odd_powers(3), 4),
+    (lambda: table_group(5), 5),
+]
+
+
+@pytest.mark.parametrize("group, big_radius", PREFIX_GROUPS)
+def test_smaller_ball_is_a_prefix_of_the_larger(group, big_radius):
+    spec, gens = group()
+    big = cayley_ball(spec, gens, big_radius)
+    for r in range(big_radius):
+        small = cayley_ball(spec, gens, r)
+        n = small.vertex_count
+        assert n == sum(1 for x in big.norms if x <= r)
+        assert small.elements == big.elements[:n]
+        assert small.norms == big.norms[:n]
+        assert small.index == {g: v for g, v in big.index.items() if v < n}
+        inner = [u for u in range(n) if small.norms[u] < r]
+        for small_row, big_row in zip(small.steps, big.steps):
+            assert [small_row[u] for u in inner] == [big_row[u] for u in inner]
+        if small.complete and spec.order() == n:
+            assert small.steps == big.steps

@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from geodetic import (
     BallRangeError,
+    CyclicSpec,
     FiniteOrderError,
     ForbiddenSet,
+    ProductSpec,
     build_factor_automaton,
     cayley_ball,
     centraliser_in_ball,
@@ -14,6 +16,7 @@ from geodetic import (
     is_geodesic_word,
     minimal_forbidden_factors,
     power_language,
+    validate_genset,
 )
 from geodetic.graphs import Graph
 from geodetic.lang import (
@@ -106,6 +109,38 @@ def test_minimal_forbidden_factors_bounds(z4_r4):
         minimal_forbidden_factors(z4_r4, 5)
     with pytest.raises(ValueError):
         minimal_forbidden_factors(z4_r4, 0)
+
+
+def z_cross_z():
+    spec = ProductSpec((CyclicSpec(0), CyclicSpec(0)))
+    pairs = [("a", (1, 0)), ("a'", (-1, 0)), ("b", (0, 1)), ("b'", (0, -1))]
+    return spec, validate_genset(spec, pairs)
+
+
+# (name, group, largest e); each e is checked on balls of radius e .. e + 3.
+RADIUS_E_GROUPS = [
+    ("F2", lambda: free_group(2), 3),
+    ("Z2*Z3", lambda: plain_group(0, (2, 3)), 6),
+    ("Z2*Z2", z2_star_z2, 6),
+    ("ZxZ", z_cross_z, 4),
+    ("ZxZ2", z_cross_z2, 5),
+    ("Z", infinite_cyclic, 6),
+]
+
+
+@pytest.mark.parametrize(
+    "group, e",
+    [(group, e) for _, group, top in RADIUS_E_GROUPS for e in range(1, top + 1)],
+    ids=[f"{name}-e{e}" for name, _, top in RADIUS_E_GROUPS for e in range(1, top + 1)],
+)
+def test_language_of_the_radius_e_ball_is_that_of_any_larger_ball(group, e):
+    spec, gens = group()
+    want = minimal_forbidden_factors(cayley_ball(spec, gens, e), e)
+    table = build_factor_automaton(want, gens.labels).table_lines()
+    for radius in range(e + 1, e + 4):
+        got = minimal_forbidden_factors(cayley_ball(spec, gens, radius), e)
+        assert got == want
+        assert build_factor_automaton(got, gens.labels).table_lines() == table
 
 
 def test_automaton_knowns():
