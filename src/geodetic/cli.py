@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
+from collections import Counter
 
 from .geometry import (
     Coverage,
@@ -33,6 +33,7 @@ from .graphs import (
 from .groups import (
     BallBudgetError,
     CayleyBall,
+    GroupFile,
     cayley_ball,
     parse_group_file,
     word_to_element,
@@ -40,6 +41,7 @@ from .groups import (
 from .lang import (
     build_factor_automaton,
     centraliser_in_ball,
+    check_factor_length,
     forbidden_set_lines,
     minimal_forbidden_factors,
     parse_forbidden_file,
@@ -74,22 +76,36 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_ball(args, e: Optional[int] = None) -> CayleyBall:
-    """The ball at the requested radius R, or at e when 1 <= e < R.
-
-    The language commands read only words of length <= e, which the
-    radius-e ball, a prefix of the radius-R one, already holds.  An e out
-    of range keeps R, so its error still comes from the language code.
-    """
+def _group_and_radius(args) -> tuple[GroupFile, int]:
+    """The parsed --group file and the requested radius R."""
     if not args.group:
         raise ValueError("pass --group FILE")
     gf = parse_group_file(_read(args.group))
     radius = args.radius if args.radius is not None else gf.default_radius
     if radius is None:
         raise ValueError("no radius: pass --radius or a 'ball R=<r>' line in the group file")
-    if e is not None and 1 <= e < radius:
-        radius = e
+    if radius < 0:  # before --e is checked against it
+        raise ValueError("radius must be nonnegative")
+    return gf, radius
+
+
+def _load_ball(args) -> CayleyBall:
+    gf, radius = _group_and_radius(args)
     return cayley_ball(gf.spec, gf.genset, radius)
+
+
+def _load_factor_ball(args) -> CayleyBall:
+    """The radius-e ball that forbidden and automaton read, --e checked first.
+
+    They read only words of length <= e, which the radius-e ball, a prefix
+    of the radius-R one, already holds.  --e is checked against R before
+    any vertex is built.
+    """
+    gf, radius = _group_and_radius(args)
+    if args.e is None:
+        raise ValueError("pass --e for the forbidden-factor length bound")
+    check_factor_length(args.e, radius)
+    return cayley_ball(gf.spec, gf.genset, args.e)
 
 
 def _load_host(args):
@@ -137,16 +153,13 @@ def _print_found(cov: Coverage, report_line, scanned: bool) -> None:
 
 def cmd_ball(args) -> int:
     ball = _load_ball(args)
-    g = ball.graph
     print(
-        f"ball: radius={ball.radius} vertices={g.vertex_count} "
-        f"edges={g.edge_count} complete={'true' if ball.complete else 'false'}"
+        f"ball: radius={ball.radius} vertices={ball.vertex_count} "
+        f"edges={ball.edge_count} complete={'true' if ball.complete else 'false'}"
     )
     if args.verbose:
-        for d in range(ball.radius + 1):
-            n = sum(1 for x in ball.norms if x == d)
-            if n:
-                print(f"norm {d}: {n} elements")
+        for d, n in sorted(Counter(ball.norms).items()):
+            print(f"norm {d}: {n} elements")
         frac = ball.reached_fraction()
         if frac is not None:
             print(f"reached {len(ball.elements)} of {ball.spec.order()} group elements")
@@ -210,7 +223,7 @@ def cmd_triangles(args) -> int:
 
 
 def cmd_forbidden(args) -> int:
-    ball = _load_ball(args, args.e)
+    ball = _load_factor_ball(args)
     forbidden = minimal_forbidden_factors(ball, args.e)
     for line in forbidden_set_lines(forbidden):
         print(line)
@@ -219,14 +232,15 @@ def cmd_forbidden(args) -> int:
 
 def cmd_automaton(args) -> int:
     if args.file:
+        for flag, value in (("--group", args.group), ("--e", args.e), ("--radius", args.radius)):
+            if value is not None:
+                raise ValueError(f"pass FILE or {flag}, not both")
         forbidden = parse_forbidden_file(_read(args.file))
         letters = sorted({letter for w in forbidden.words for letter in w})
         if not letters:
             raise ValueError("forbidden file carries no letters to build an alphabet from")
     else:
-        ball = _load_ball(args, args.e)
-        if args.e is None:
-            raise ValueError("pass --e for the forbidden-factor length bound")
+        ball = _load_factor_ball(args)
         forbidden = minimal_forbidden_factors(ball, args.e)
         letters = sorted(ball.genset.labels)
     automaton = build_factor_automaton(forbidden, letters)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 from .graphs import Graph, k_geodetic_of_rows, min_k_of_rows
@@ -503,7 +503,9 @@ class CayleyBall:
     subgraph induced on the ball, so distances between two vertices u, v
     are exact whenever norms[u] + norms[v] <= radius (every group geodesic
     between such a pair stays inside the ball); complete balls, where the
-    whole group was reached, are exact everywhere.
+    whole group was reached, are exact everywhere.  The graph is built from
+    steps on its first read, so code that reads only elements, norms and
+    steps (the language commands, edge_count) never builds it.
 
     min_geodetic_k and is_k_geodetic are the fast path for geodesic counts
     over trusted pairs: they read the identity BFS alone.  The all-pairs
@@ -515,16 +517,36 @@ class CayleyBall:
     spec: GroupSpec
     genset: GenSet
     radius: int
-    graph: Graph
     elements: list[Element]
     index: dict[Element, int]
     norms: list[int]
     complete: bool
     steps: list[list[int]]
+    # A plain field set in __init__, not a cached_property: a key that
+    # appears late in the instance dict slows every attribute read of the
+    # ball, is_trusted_pair's included.
+    _graph: Optional[Graph] = field(default=None, repr=False, compare=False)
+
+    @property
+    def graph(self) -> Graph:
+        """The subgraph induced on the ball, built from steps on first read."""
+        if self._graph is None:
+            adjacency = [[v for v in nbrs if v >= 0] for nbrs in zip(*self.steps)]
+            self._graph = Graph(len(self.elements), adjacency)
+        return self._graph
 
     @property
     def vertex_count(self) -> int:
         return len(self.elements)
+
+    @property
+    def edge_count(self) -> int:
+        """Edges of the ball graph, counted from steps without building it.
+
+        steps records each edge u–u·s twice: at u under s, and at u·s under
+        s⁻¹ (under s again when s is an involution).
+        """
+        return sum(len(row) - row.count(-1) for row in self.steps) // 2
 
     def vertex_of(self, g: Element) -> int:
         v = self.index.get(g)
@@ -631,8 +653,7 @@ def cayley_ball(
                 norms.append(layer)
             row.append(v)
     complete = max(norms) < radius or spec.order() == len(elements)
-    graph = Graph(len(elements), [[v for v in nbrs if v >= 0] for nbrs in zip(*steps)])
-    return CayleyBall(spec, genset, radius, graph, elements, index, norms, complete, steps)
+    return CayleyBall(spec, genset, radius, elements, index, norms, complete, steps)
 
 
 def element_norm(ball: CayleyBall, g: Element) -> int:

@@ -11,9 +11,10 @@ length <= R evaluates inside the radius-R ball, and all geodesics from the
 identity to a ball member stay inside, so no query silently leaves the
 trusted region.  Words are read by walking CayleyBall.steps from vertex
 to vertex; every step starts at a vertex of norm < R, so no walk meets a
--1.  Only power_language and centraliser_in_ball multiply elements, and
-power_language reads the geodesics of every power off the one BFS at the
-identity.
+-1.  Only power_language and centraliser_in_ball multiply elements.
+power_language reads the geodesic words of every power off norms and
+steps, by the recurrence of _geodesic_words.  Nothing here reads
+CayleyBall.graph, so the language commands build no graph and run no BFS.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .graphs import enumerate_geodesics
 from .groups import CayleyBall, Element, word_to_element
 from .words import EMPTY_WORD, Word, format_word, parse_word
 
@@ -70,6 +70,14 @@ def is_geodesic_word(ball: CayleyBall, w: Word) -> bool:
     return ball.norms[v] == len(w)
 
 
+def check_factor_length(e: int, radius: int) -> None:
+    """Reject a factor-length bound e that the radius-R ball cannot decide."""
+    if e < 1:
+        raise ValueError("e must be at least 1")
+    if e > radius:
+        raise BallRangeError(f"e={e} exceeds the ball radius {radius}")
+
+
 def minimal_forbidden_factors(ball: CayleyBall, e: int) -> ForbiddenSet:
     """All minimal non-geodesic words of length <= e.
 
@@ -80,10 +88,7 @@ def minimal_forbidden_factors(ball: CayleyBall, e: int) -> ForbiddenSet:
     so the answer depends only on the radius-e ball: on any larger ball,
     whose radius-e prefix is the same, it is the same.
     """
-    if e < 1:
-        raise ValueError("e must be at least 1")
-    if e > ball.radius:
-        raise BallRangeError(f"e={e} exceeds the ball radius {ball.radius}")
+    check_factor_length(e, ball.radius)
     moves = sorted(zip(ball.genset.labels, ball.steps))
     forbidden: list[Word] = []
     layer: list[tuple[Word, int]] = [(EMPTY_WORD, 0)]
@@ -337,12 +342,52 @@ def _detect_stabilization(languages: Sequence[tuple[Word, ...]]) -> Optional[Sta
     return None
 
 
+def _geodesic_words(
+    norms: Sequence[int],
+    back: Sequence[tuple[str, Sequence[int]]],
+    v: int,
+    memo: dict[int, list[Word]],
+) -> list[Word]:
+    """Every geodesic word from the identity to vertex v, memoised in memo.
+
+    A geodesic word ending in s reaches v from u = v·s⁻¹ with norms[u] =
+    norms[v] - 1, so the words of v are those of each such u extended by s;
+    back lists (label of s, row of s⁻¹ in steps).  memo must hold
+    {0: [()]}.  The vertices still missing are gathered with an explicit
+    stack and filled in increasing vertex order, which is BFS order, so
+    each one's predecessors come first and no recursion depth grows with
+    norms[v].
+    """
+    todo = []
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        if x in memo:
+            continue
+        memo[x] = []  # scheduled; filled below
+        todo.append(x)
+        down = norms[x] - 1
+        for _, row in back:
+            u = row[x]
+            if u >= 0 and norms[u] == down and u not in memo:
+                stack.append(u)
+    for x in sorted(todo):
+        down = norms[x] - 1
+        words = memo[x]
+        for label, row in back:
+            u = row[x]
+            if u >= 0 and norms[u] == down:
+                words.extend(w + (label,) for w in memo[u])
+    return memo[v]
+
+
 def power_language(ball: CayleyBall, g_word: Word, n_max: int) -> PowerLanguageReport:
     """Geodesic-word sets of g^n for n = 0..n_max, with stabilization fit.
 
     The base element must have infinite order (the specs carry exact order
-    oracles) and every analyzed power must lie inside the ball.  All powers
-    read the one BFS at the identity, ball.graph.dag(0).
+    oracles) and every analyzed power must lie inside the ball.  The words
+    of every power come from ball.norms and ball.steps alone, memoised per
+    vertex across the powers; no graph is built and no BFS runs.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -351,6 +396,9 @@ def power_language(ball: CayleyBall, g_word: Word, n_max: int) -> PowerLanguageR
     order = spec.element_order(g)
     if order is not None:
         raise FiniteOrderError(f"base element has finite order {order}")
+    rows = dict(zip(ball.genset.labels, ball.steps))
+    back = [(label, rows[ball.genset.inverse_label[label]]) for label in ball.genset.labels]
+    memo: dict[int, list[Word]] = {0: [EMPTY_WORD]}
     languages = []
     e = spec.identity()
     for n in range(n_max + 1):
@@ -360,10 +408,7 @@ def power_language(ball: CayleyBall, g_word: Word, n_max: int) -> PowerLanguageR
             raise BallRangeError(
                 f"power {n} of the base element leaves the radius-{ball.radius} ball"
             )
-        # A geodesic from g^n to 1, read backwards, is one from 1 to g^n.
-        paths, _ = enumerate_geodesics(ball.graph, v, 0)
-        words = sorted(ball.word_of_path(p.vertices[::-1]) for p in paths)
-        languages.append(tuple(words))
+        languages.append(tuple(sorted(_geodesic_words(ball.norms, back, v, memo))))
         e = spec.multiply(e, g)
     stab = _detect_stabilization(languages)
     return PowerLanguageReport(tuple(g_word), tuple(languages), stab)

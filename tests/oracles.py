@@ -7,7 +7,8 @@ oracles (ladders, bigons, triangles) choose and cap their vertex pairs and
 corner triples from a full scan of plain BFS rows, classify by hand, and
 reuse only the library's geodesic enumeration.  The language oracles are
 the earlier, longer forms of the stabilisation fit and the factor
-automaton, with every pruning step spelled out.
+automaton, with every pruning step spelled out, and the power languages
+read off the ball graph's geodesic enumeration.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from geodetic.geometry import (
     validate_path,
 )
 from geodetic.graphs import Graph, build_graph, enumerate_geodesics
-from geodetic.groups import BallBudgetError, CayleyBall
+from geodetic.groups import BallBudgetError, CayleyBall, word_to_element
 
 
 def dfs_walks_of_length(g: Graph, u: int, v: int, n: int) -> list[tuple[int, ...]]:
@@ -340,6 +341,27 @@ def naive_triangles(host, scope) -> Coverage:
                         degenerate = bool(ta & tb or ta & tc or tb & tc)
                     cov.found.append(GeodesicTriangle(a, b, c, degenerate))
     return cov
+
+
+def naive_power_languages(ball: CayleyBall, g_word, n_max: int) -> tuple:
+    """The geodesic-word sets of g^0..g^n_max, by enumerating geodesics.
+
+    The earlier power_language loop: every geodesic from g^n to 1 is
+    enumerated vertex by vertex on ball.graph, then read backwards as
+    generator labels.  All powers must lie inside the ball.
+    """
+    spec = ball.spec
+    g = word_to_element(spec, ball.genset, g_word)
+    languages = []
+    e = spec.identity()
+    for n in range(n_max + 1):
+        v = ball.vertex_of(e)
+        # A geodesic from g^n to 1, read backwards, is one from 1 to g^n.
+        paths, _ = enumerate_geodesics(ball.graph, v, 0)
+        words = sorted(ball.word_of_path(p.vertices[::-1]) for p in paths)
+        languages.append(tuple(words))
+        e = spec.multiply(e, g)
+    return tuple(languages)
 
 
 def naive_fit_tail(tail):

@@ -62,6 +62,11 @@ def test_ball_verbose_layers(capsys, c6):
     lines = out.splitlines()
     assert lines[1] == "norm 0: 1 elements"
     assert lines[-1] == "reached 6 of 6 group elements"
+    # A complete ball lists only the norms it holds, not every d <= radius.
+    assert run(capsys, ["ball", "--group", c6, "--radius", "5", "--verbose"]) == (0, (
+        "ball: radius=5 vertices=6 edges=6 complete=true\n"
+        "norm 0: 1 elements\nnorm 1: 2 elements\nnorm 2: 2 elements\nnorm 3: 1 elements\n"
+        "reached 6 of 6 group elements\n"), "")
 
 
 def test_ball_radius_override(capsys, c6):
@@ -392,12 +397,67 @@ def test_language_commands_build_the_ball_to_radius_e(capsys, tmp_path, monkeypa
         code, out, _ = run(capsys, [command, *group, *flags])
         assert code == 0 and out
     assert radii == [3, 3, 12]
-    # Out-of-range bounds still meet the radius-R ball and their old messages.
+    # Out-of-range bounds keep their messages and build no ball at all.
     radii.clear()
     assert run(capsys, [command, *group, "--e", "13"]) == (
         2, "", "error: e=13 exceeds the ball radius 12\n")
     assert run(capsys, [command, *group, "--e", "0"]) == (2, "", "error: e must be at least 1\n")
-    assert radii == [12, 12]
+    assert radii == []
+
+
+def test_language_commands_check_e_before_any_ball(capsys, tmp_path, monkeypatch):
+    def no_ball(*args, **kwargs):
+        raise AssertionError("a ball was built before --e was checked")
+
+    monkeypatch.setattr(cli, "cayley_ball", no_ball)
+    monkeypatch.setenv("GEODETIC_BALL_BUDGET", "2")  # e's errors come before the budget's
+    path = tmp_path / "z2z3.grp"
+    path.write_text(Z2Z3_GROUP)
+    group = ["--group", str(path)]
+    for command in ("forbidden", "automaton"):
+        assert run(capsys, [command, *group, "--e", "0"]) == (2, "", "error: e must be at least 1\n")
+        assert run(capsys, [command, *group, "--e", "5", "--radius", "4"]) == (
+            2, "", "error: e=5 exceeds the ball radius 4\n")
+        assert run(capsys, [command, *group, "--e", "2", "--radius", "-1"]) == (
+            2, "", "error: radius must be nonnegative\n")
+    assert run(capsys, ["automaton", *group]) == (
+        2, "", "error: pass --e for the forbidden-factor length bound\n")
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--group", "/nonexistent.grp", "--e", "9"], "--group"),
+    (["--e", "2"], "--e"),
+    (["--radius", "3"], "--radius"),
+])
+def test_automaton_file_rejects_group_flags(capsys, tmp_path, flags, flag):
+    fset = tmp_path / "fset.txt"
+    fset.write_text("forbidden e=2\naa\nbb\n")
+    assert run(capsys, ["automaton", str(fset), *flags]) == (
+        2, "", f"error: pass FILE or {flag}, not both\n")
+
+
+def test_language_commands_build_no_graph(capsys, tmp_path, monkeypatch):
+    zxz, z2z3 = tmp_path / "zxz.grp", tmp_path / "z2z3.grp"
+    zxz.write_text(ZXZ_R4)
+    z2z3.write_text(Z2Z3_GROUP)
+    commands = [
+        ["ball", "--group", str(z2z3), "--verbose"],
+        ["powers", "ab", "--group", str(zxz), "--nmax", "2"],
+        ["centraliser", "ab", "--group", str(zxz)],
+        ["forbidden", "--group", str(z2z3), "--e", "4"],
+        ["automaton", "--group", str(z2z3), "--e", "4"],
+    ]
+    want = [run(capsys, argv) for argv in commands]
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a Graph was built")
+
+    monkeypatch.setattr(Graph, "__init__", no_graph)
+    monkeypatch.setattr(Graph, "dag", no_graph)
+    assert [run(capsys, argv) for argv in commands] == want
+    assert all(code == 0 for code, _, _ in want)
+    with pytest.raises(AssertionError, match="a Graph was built"):
+        run(capsys, ["ball", "--group", str(z2z3), "--dot", str(tmp_path / "ball.dot")])
 
 
 def test_language_commands_fit_the_budget_at_radius_e(capsys, tmp_path, monkeypatch):

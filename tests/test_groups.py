@@ -435,7 +435,9 @@ def test_cayley_ball_matches_two_pass_oracle(group, radius, budget):
     assert ball.elements == elements
     assert ball.norms == norms
     assert ball.complete == complete
+    assert ball.edge_count == graph.edge_count  # from steps, before the graph is built
     assert ball.graph.adj == graph.adj
+    assert ball.edge_count == ball.graph.edge_count
     for (u, v), label in edge_labels.items():
         assert ball.word_of_path((u, v)) == (label,)
 

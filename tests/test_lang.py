@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from geodetic import (
     BallRangeError,
@@ -29,7 +29,12 @@ from geodetic.groups import word_to_element
 from geodetic.words import parse_word
 from geodetic.zoo import free_group, infinite_cyclic, plain_group, z2_star_z2, z_cross_z2
 
-from oracles import has_factor_naive, naive_factor_automaton, naive_fit_tail
+from oracles import (
+    has_factor_naive,
+    naive_factor_automaton,
+    naive_fit_tail,
+    naive_power_languages,
+)
 
 
 def words_up_to(letters, max_len):
@@ -254,18 +259,43 @@ def test_fit_tail_matches_the_oracle_on_power_languages(group, radius, base):
 
 @pytest.mark.parametrize("group, base", [(infinite_cyclic(), ("a",)), (z_cross_z2(), ("a", "f"))])
 def test_power_language_reads_only_the_identity_bfs(group, base, monkeypatch):
+    # Tightened: power_language reads norms and steps alone, so no DAG at all.
     spec, gens = group
     ball = cayley_ball(spec, gens, 8)
     want = power_language(cayley_ball(spec, gens, 8), base, 4)
-    original = Graph.dag
 
-    def identity_only(self, source, count_cap=None):
-        if source != 0:
-            raise AssertionError(f"BFS from vertex {source}")
-        return original(self, source, count_cap)
+    def no_dag(self, source, count_cap=None):
+        raise AssertionError(f"BFS from vertex {source}")
 
-    monkeypatch.setattr(Graph, "dag", identity_only)
+    monkeypatch.setattr(Graph, "dag", no_dag)
     assert power_language(ball, base, 4) == want
+    assert ball._graph is None
+
+
+# (name, group, radius) for the power-language property test.
+POWER_GROUPS = [
+    ("F2", lambda: free_group(2), 6),
+    ("Z2*Z2", z2_star_z2, 10),
+    ("Z2*Z3", lambda: plain_group(0, (2, 3)), 9),
+    ("ZxZ", z_cross_z, 8),
+    ("ZxZ2", z_cross_z2, 7),
+    ("Z", infinite_cyclic, 12),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_power_language_matches_the_enumeration_oracle(data):
+    _, group, radius = data.draw(st.sampled_from(POWER_GROUPS), label="group")
+    ball = cayley_ball(*group(), radius)
+    labels = sorted(ball.genset.labels)
+    base = tuple(data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3), label="base"))
+    g = word_to_element(ball.spec, ball.genset, base)
+    assume(ball.spec.element_order(g) is None)
+    # |g^n| <= n|base| <= radius keeps every power inside the ball.
+    n_max = data.draw(st.integers(0, radius // len(base)), label="n_max")
+    got = power_language(ball, base, n_max).languages
+    assert got == naive_power_languages(ball, base, n_max)
 
 
 def test_check_locally_excluding(z2z2_r8, free2_r4):

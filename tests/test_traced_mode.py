@@ -51,7 +51,7 @@ def test_traced_cli_matches_untraced(tmp_path):
     plain_dot = (tmp_path / "ball.dot").read_text()
 
     originals = (graphs.Graph.dag, groups.CyclicSpec.multiply, cli.cayley_ball,
-                 lang.enumerate_geodesics)
+                 graphs.enumerate_geodesics)
     tracer = load_tracing().Tracer([geodetic, cli, graphs, groups, geometry, lang, words])
     tracer.install()
     try:
@@ -76,4 +76,4 @@ def test_traced_cli_matches_untraced(tmp_path):
     assert {"cli.main", "groups.cayley_ball", "graphs.min_geodetic_k",
             "geometry.find_ladders"} <= spanned
     assert (graphs.Graph.dag, groups.CyclicSpec.multiply, cli.cayley_ball,
-            lang.enumerate_geodesics) == originals
+            graphs.enumerate_geodesics) == originals
