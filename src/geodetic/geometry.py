@@ -7,13 +7,12 @@ asynchronously disjoint when p1(i) != p2(j) for every pair of DISTINCT
 indices (same-index meetings are allowed), and a ladder-like structure of
 width m and height r is an asynchronously disjoint pair with a_m = r.
 
-A walk is prepared once for the pair scans: it carries the BFS distance
-row of each of its vertices and a vertex -> index map, so comparing two
-walks reads no DAG.  Two paths compute a full PairStats: the public
-pair_stats, which validates and prepares its two walks per call, and
-iter_disjoint_pairs, which yields one per disjoint pair; a walk's edge sets
-are built when the full kernel first reads them.  find_ladders reads only
-a_m, so it computes just the distance row of each disjoint pair.
+The ladder pairing compares the geodesics of a length bucket on bit masks:
+one AND decides asynchronous disjointness and one popcount gives a_m, from
+a BFS of depth m per vertex, so find_ladders reads no distance row.  A full
+PairStats comes from two prepared walks, which carry the distance row of
+each vertex: pair_stats validates and prepares its walks per call, and
+iter_disjoint_pairs prepares each geodesic once for the pairs the masks keep.
 The bigon and triangle scans classify their enumerated geodesics without
 validating them again, and the triangle scan enumerates each ordered side
 once per scan.
@@ -21,9 +20,10 @@ once per scan.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations, combinations_with_replacement, islice
+from itertools import combinations, combinations_with_replacement, islice
 from operator import eq
 from typing import Iterator, Optional, Sequence, Union
 
@@ -87,11 +87,12 @@ class PairStats:
 
 
 class _Walk:
-    """A walk prepared once for the pair scans.
+    """A walk prepared for the full pair kernel of pair_stats and iter_disjoint_pairs.
 
     rows[i] is the BFS distance row of vertex i of the walk, and at maps each
-    vertex to its index (-1 when the vertex repeats).  edges() builds the edge
-    sets, which only the full pair kernel reads, at its first call.
+    vertex to its index (-1 when the vertex repeats, which pair_stats allows).
+    edges() builds the edge sets, which only the full pair kernel reads, at
+    its first call.
     """
 
     __slots__ = ("path", "rows", "at", "_edges")
@@ -127,20 +128,14 @@ def _disjoint(w1: _Walk, w2: _Walk) -> bool:
     return True
 
 
-def _distances(w1: _Walk, w2: _Walk) -> tuple[int, ...]:
-    """d(p1(i), p2(i)) for every index i of two equal-length walks; raises
+def _pair_kernel(w1: _Walk, w2: _Walk, m: int, disjoint: bool) -> PairStats:
+    """PairStats of two prepared equal-length walks whose disjointness is known; raises
     UnreachablePairError at the first index whose vertices share no component."""
     p2 = w2.path.vertices
     distances = tuple(map(list.__getitem__, w1.rows, p2))
     if UNREACHED in distances:
         i = distances.index(UNREACHED)
         raise UnreachablePairError(f"no path between vertices {w1.path[i]} and {p2[i]}")
-    return distances
-
-
-def _pair_kernel(w1: _Walk, w2: _Walk, m: int, disjoint: bool) -> PairStats:
-    """PairStats of two prepared equal-length walks whose disjointness is known."""
-    distances = _distances(w1, w2)
     (edges1, steps1), (edges2, steps2) = w1.edges(), w2.edges()
     co = not edges1.isdisjoint(edges2)
     sync = co and not steps1.isdisjoint(steps2)
@@ -279,32 +274,114 @@ def iter_disjoint_pairs(
     Geodesics are enumerated per vertex pair (pairs ordered by distance then
     lexicographically, each geodesic directed from the smaller endpoint),
     bucketed by length, and paired within each bucket, so the two geodesics
-    of a pair may join different endpoint pairs.  The geodesics come from
-    enumeration, so no pair is validated again.  A width below 1 raises
-    ValueError at the call, before any pair is produced.
+    of a pair may join different endpoint pairs.  The mask test of
+    find_ladders picks the pairs, and only those get a PairStats, from walks
+    prepared once per geodesic.  The geodesics come from enumeration, so no
+    pair is validated again.  A width below 1 raises ValueError at the call,
+    before any pair is produced.
     """
     if m < 1:
         raise ValueError("width m must be at least 1")
-    pairs = _disjoint_walk_pairs(host, scope or SearchScope(), Coverage())
-    return ((w1.path, w2.path, _pair_kernel(w1, w2, m, True)) for w1, w2 in pairs)
+    walk = functools.cache(functools.partial(_Walk, _graph_and_filter(host)[0]))
+    pairs = _mask_pairs(host, m, scope or SearchScope(), Coverage())
+    return ((p1, p2, _pair_kernel(walk(p1), walk(p2), m, True)) for p1, p2, _ in pairs)
 
 
-def _disjoint_walk_pairs(host, scope, cov):
-    """The prepared walk pairs of the ladder pairing that pass the disjointness test."""
+def _sphere(adj, x: int, m: int) -> set[int]:
+    """The vertices at distance exactly m from x, by a BFS of depth m."""
+    seen = layer = {x}
+    for _ in range(m):
+        layer = {v for u in layer for v in adj[u]} - seen
+        seen = seen | layer
+    return layer
+
+
+def _component_labels(g: Graph) -> list[int]:
+    """label[v] is the least vertex of v's component."""
+    label = [-1] * g.vertex_count
+    for s in range(g.vertex_count):
+        stack = [s] if label[s] < 0 else []
+        while stack:
+            u = stack.pop()
+            if label[u] < 0:
+                label[u] = s
+                stack.extend(g.adj[u])
+    return label
+
+
+def _bucket_masks(adj, geos: list[PathSeq], m: int, spheres: dict[int, set[int]]):
+    """The masks P, X and N of each geodesic of one length bucket (see _mask_pairs);
+    spheres caches the m-sphere of each vertex across buckets."""
+    width = len(geos[0].vertices)
+    first: dict[int, int] = {}  # vertex x -> its bit (x, 0), at id(x) * width
+    for p in geos:
+        for v in p.vertices:
+            first.setdefault(v, len(first) * width)
+    near = {}  # vertex x -> the bits (y, 0) of the bucket vertices y at distance m
+    for x in first:
+        if x not in spheres:
+            spheres[x] = _sphere(adj, x, m)
+        near[x] = sum(1 << first[y] for y in spheres[x] if y in first)
+    ps, xs, ns = [], [], []
+    for p in geos:
+        at = rows = close = 0
+        for i, v in enumerate(p.vertices):
+            at |= 1 << (first[v] + i)
+            rows |= ((1 << width) - 1) << first[v]
+            close |= near[v] << i
+        ps.append(at)
+        xs.append(rows ^ at)
+        ns.append(close)
+    return ps, xs, ns
+
+
+def _mask_pairs(host, m, scope, cov):
+    """(p1, p2, a_m) for each asynchronously disjoint geodesic pair the ladder
+    pairing compares, in combinations order within each length bucket.
+
+    A bucket numbers its vertices 0..B-1 in first-seen order; the pair
+    (vertex x, index i) of a length-d geodesic is bit id(x)*(d+1)+i.  A
+    geodesic p has P, the bits (p(i), i); X, the bits (p(i), j) for j != i;
+    and N, the bits (x, i) of the bucket vertices x at distance m from p(i).
+    Geodesics are simple paths, so (p1, p2) is asynchronously disjoint
+    exactly when X1 & P2 == 0, and then a_m is the popcount of N1 & P2.
+    Masks are built only for buckets the cap reaches.  A disjoint pair in two
+    components raises UnreachablePairError, as its index-0 distance would.
+    """
     g, pair_filter = _graph_and_filter(host)
     buckets: dict[int, list[PathSeq]] = {}
     for d, geos in _pair_geodesics(g, pair_filter, scope, cov):
         buckets.setdefault(d, []).extend(geos)
+    room = scope.max_geodesic_pairs
+    spheres: dict[int, set[int]] = {}
+    label = _component_labels(g)
     # The pairs arrive by distance, so the buckets are in length order.
-    pairs = chain.from_iterable(
-        combinations([_Walk(g, p) for p in geos], 2) for geos in buckets.values()
-    )
-    for w1, w2 in _capped(pairs, scope.max_geodesic_pairs, cov):
-        cov.geodesic_pairs_scanned += 1
-        # Walks that share a vertex lie in one component, so a pair
-        # skipped here cannot hold an unreachable index.
-        if _disjoint(w1, w2):
-            yield w1, w2
+    for geos in buckets.values():
+        n = len(geos)
+        take = n * (n - 1) // 2
+        if room is not None:
+            if take > room:  # the rest of this bucket is left over
+                cov.exhausted = True
+                take = room
+            room -= take
+        if not take:
+            continue
+        cov.geodesic_pairs_scanned += take
+        ps, xs, ns = _bucket_masks(g.adj, geos, m, spheres)
+        comps = [label[p.vertices[0]] for p in geos]
+        for i in range(n - 1):
+            stop = min(n, i + 1 + take)
+            take -= stop - i - 1
+            x1, n1, c1, p1 = xs[i], ns[i], comps[i], geos[i]
+            for p2_bits, c2, p2 in zip(ps[i + 1 : stop], comps[i + 1 : stop], geos[i + 1 : stop]):
+                if not x1 & p2_bits:
+                    if c1 != c2:
+                        raise UnreachablePairError(
+                            f"no path between vertices {p1.vertices[0]} and {p2.vertices[0]}"
+                        )
+                    yield p1, p2, (n1 & p2_bits).bit_count()
+            if not take:
+                break
 
 
 def find_ladders(
@@ -314,19 +391,22 @@ def find_ladders(
 
     k_verified is the caller-certified geodeticity constant of the host; it
     only feeds the reported bound A(m, k).  The search pairs geodesics as
-    iter_disjoint_pairs does, but reads only a_m: each disjoint pair costs
-    its distance row, and no PairStats is built.  Every report's pair is
-    asynchronously disjoint with height a_m >= 1.  For a CayleyBall only
-    trusted pairs enter the scan and the skipped ones are counted.
+    iter_disjoint_pairs does, on bit masks: one AND decides disjointness and
+    one popcount gives a_m, so no walk is prepared, no distance row is read
+    and no PairStats is built.  Every report's pair is asynchronously
+    disjoint with height a_m >= 1.  For a CayleyBall only trusted pairs
+    enter the scan and the skipped ones are counted.  A width below 1 raises
+    ValueError before anything else.
     """
+    if m < 1:
+        raise ValueError("width m must be at least 1")
     if k_verified < 1:
         raise ValueError("k_verified must be at least 1")
     bound = ladder_bound_A(m, k_verified)
     cov = Coverage()
-    for w1, w2 in _disjoint_walk_pairs(host, scope or SearchScope(), cov):
-        a_m = _distances(w1, w2).count(m)
+    for p1, p2, a_m in _mask_pairs(host, m, scope or SearchScope(), cov):
         if a_m:
-            cov.found.append(LadderReport(w1.path, w2.path, m, a_m, bound, a_m <= bound))
+            cov.found.append(LadderReport(p1, p2, m, a_m, bound, a_m <= bound))
     return cov
 
 

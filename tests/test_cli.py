@@ -2,9 +2,10 @@ from pathlib import Path
 
 import pytest
 
-from geodetic import cayley_ball, cli
-from geodetic.graphs import Graph, graph_to_dot, parse_graph
+from geodetic import CayleyBall, cayley_ball, cli, parse_group_file
+from geodetic.graphs import Graph, format_graph, graph_to_dot, parse_graph
 from geodetic.lang import parse_forbidden_file
+from geodetic.zoo import complete_bipartite, grid_graph, petersen_graph
 
 C6_GROUP = "group cyclic 6\ngen a pow 1\ngen a' pow 5\nball R=3\n"
 Z6_ODD = "group cyclic 6\ngen a1 pow 1\ngen a3 pow 3\ngen a5 pow 5\nball R=2\n"
@@ -122,6 +123,27 @@ def test_ball_dot_golden(capsys, tmp_path):
     assert dot.read_bytes() == ZXZ2_DOT.encode()
     code, out, _ = run(capsys, ["export-dot", "--group", str(path)])
     assert code == 0 and out == ZXZ2_DOT
+
+
+@pytest.mark.parametrize("name", ["zxz", "z2z3", "z6odd"])
+def test_ball_dot_labels_match_word_of_path(capsys, tmp_path, monkeypatch, name):
+    # The edge labels come from one pass over steps; word_of_path is the oracle.
+    text = {"zxz": ZXZ_R4, "z2z3": Z2Z3_GROUP.replace("R=12", "R=5"), "z6odd": Z6_ODD}[name]
+    path = tmp_path / f"{name}.grp"
+    path.write_text(text)
+    gf = parse_group_file(text)
+    ball = cayley_ball(gf.spec, gf.genset, gf.default_radius)
+    want = graph_to_dot(ball.graph, vertex_labels=[gf.spec.format_element(x) for x in ball.elements],
+                        edge_label=lambda u, v: ball.word_of_path((u, v))[0])
+
+    def refuse(self, vertices):
+        raise AssertionError("word_of_path called")
+
+    monkeypatch.setattr(CayleyBall, "word_of_path", refuse)
+    dot = tmp_path / "ball.dot"
+    code, _, err = run(capsys, ["ball", "--group", str(path), "--dot", str(dot)])
+    assert (code, err) == (0, "")
+    assert dot.read_text() == want
 
 
 def test_check_k_group_golden(capsys, tmp_path):
@@ -250,6 +272,34 @@ def test_scans_golden(capsys, tmp_path):
         assert (code, err) == (0, "")
         chunks.append(f"$ geodetic {' '.join(argv)}\n{out}")
     assert "".join(chunks).encode() == (GOLDEN / "scans_zz_r4.txt").read_bytes()
+
+
+GRAPH_SCAN_HOSTS = {
+    "grid6x6.g": lambda: grid_graph(6, 6),
+    "petersen.g": petersen_graph,
+    "k34.g": lambda: complete_bipartite(3, 4),
+}
+GRAPH_SCAN_COMMANDS = [
+    ["ladders", "--m", "1"],
+    ["ladders", "--m", "2"],
+    ["ladders", "--m", "3", "--scope-geodesics", "2"],
+    ["bigons", "--verbose"],
+]
+
+
+def test_graph_scans_golden(capsys, tmp_path):
+    # Captured before the ladder pairing moved to bit masks; each command's
+    # stdout follows a "$ geodetic <args> --graph <file>" line.  The grid
+    # fills the geodesic-pair cap, so the pairing stops inside a bucket.
+    chunks = []
+    for name, make in GRAPH_SCAN_HOSTS.items():
+        path = tmp_path / name
+        path.write_text(format_graph(make()))
+        for argv in GRAPH_SCAN_COMMANDS:
+            code, out, err = run(capsys, [*argv, "--graph", str(path)])
+            assert (code, err) == (0, "")
+            chunks.append(f"$ geodetic {' '.join(argv)} --graph {name}\n{out}")
+    assert "".join(chunks).encode() == (GOLDEN / "scans_graphs.txt").read_bytes()
 
 
 Z2Z3_GROUP = "group plain Z=0 factors=2,3\ngen a word a\ngen b word b\ngen b' word b^2\nball R=12\n"

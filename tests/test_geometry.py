@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geodetic import (
+    CayleyBall,
     PathSeq,
     SearchScope,
     build_graph,
@@ -30,10 +31,11 @@ from geodetic.geometry import (
     pad,
     validate_path,
 )
-from geodetic.graphs import UnreachablePairError
+from geodetic.graphs import Graph, UnreachablePairError
 from geodetic.zoo import (
     complete_bipartite,
     cycle_graph,
+    grid_graph,
     path_graph,
     petersen_graph,
     random_tree,
@@ -46,6 +48,7 @@ from oracles import (
     naive_disjoint_pairs,
     naive_find_ladders,
     naive_pair_stats,
+    naive_scoped_pairs,
     naive_triangles,
 )
 
@@ -508,6 +511,129 @@ def test_find_ladders_error_matches_oracle_on_two_components():
         for scan in (find_ladders, naive_find_ladders):
             with pytest.raises(UnreachablePairError, match="^no path between vertices 0 and 3$"):
                 scan(g, m, 1, SearchScope())
+
+
+def _relabel(g, rng):
+    """g with its vertices renumbered at random, so bucket-local ids change."""
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return build_graph([(perm[u], perm[v]) for u, v in g.edges()], g.vertex_count)
+
+
+MASK_BALLS = [
+    (zoo.free_group(2), 2),
+    (zoo.z_cross_z2(), 3),
+    (zoo.plain_group(0, (2, 2)), 4),
+    (zoo.cyclic_odd_powers(3), 2),
+    (zoo.plain_group(0, (2, 3)), 4),
+]
+
+
+def _mask_host(family, size, seed):
+    rng = random.Random(seed)
+    if family == "tree":
+        return _relabel(random_tree(2 + size % 11, rng), rng)
+    if family == "grid":
+        return _relabel(grid_graph(1 + size % 3, 2 + size % 4), rng)
+    if family == "cycle":
+        return _relabel(cycle_graph(3 + size % 8), rng)
+    if family == "bipartite":
+        return _relabel(complete_bipartite(1 + size % 4, 1 + size // 4 % 4), rng)
+    (spec, gens), radius = MASK_BALLS[size % len(MASK_BALLS)]
+    return cayley_ball(spec, gens, radius)
+
+
+def _pair_totals(host, scope):
+    """The geodesic pairs of the length buckets, cumulated in length order, and
+    whether the pair source itself was cut short."""
+    cov = Coverage()
+    g = host.graph if isinstance(host, CayleyBall) else host
+    sizes: dict[int, int] = {}
+    for d, u, v in naive_scoped_pairs(host, scope, cov):
+        geos, truncated = enumerate_geodesics(g, u, v, limit=scope.max_geodesics)
+        cov.exhausted |= truncated
+        sizes[d] = sizes.get(d, 0) + len(geos)
+    totals, running = [], 0
+    for n in sizes.values():
+        running += n * (n - 1) // 2
+        totals.append(running)
+    return totals or [0], cov.exhausted
+
+
+@given(
+    st.sampled_from(["tree", "grid", "cycle", "bipartite", "ball"]),
+    st.integers(0, 47),
+    st.integers(0, 10**6),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([(None, None), (20, None), (None, 2)]),
+    st.integers(0, 9),
+    st.sampled_from(["zero", "one", "total-1", "total", "total+1", "none"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_mask_pairing_matches_oracle(family, size, seed, m, caps, bucket, cap_kind):
+    """Both mask scans against the oracles, caps at and around each bucket's pair total."""
+    host = _mask_host(family, size, seed)
+    max_pairs, max_geodesics = caps
+    totals, source_cut = _pair_totals(host, SearchScope(max_pairs, max_geodesics))
+    total = totals[bucket % len(totals)]
+    cap = {"zero": 0, "one": 1, "total-1": max(total - 1, 0), "total": total,
+           "total+1": total + 1, "none": None}[cap_kind]
+    scope = SearchScope(max_pairs=max_pairs, max_geodesics=max_geodesics, max_geodesic_pairs=cap)
+    k = 1 + seed % 3
+    got = find_ladders(host, m, k, scope)
+    assert got == naive_find_ladders(host, m, k, scope)
+    # The pair cap cuts the scan exactly when a pair is left over.
+    assert got.geodesic_pairs_scanned == (totals[-1] if cap is None else min(cap, totals[-1]))
+    if not source_cut:
+        assert got.exhausted == (cap is not None and totals[-1] > cap)
+    assert list(iter_disjoint_pairs(host, m, scope)) == list(
+        naive_disjoint_pairs(host, m, scope, Coverage()))
+
+
+def test_find_ladders_builds_no_walk(monkeypatch):
+    hosts = _scan_hosts()
+    want = [naive_find_ladders(host, m, k, scope)
+            for host, k in hosts for scope in SCAN_SCOPES for m in (1, 2)]
+
+    def refuse(*args):
+        raise AssertionError("walk prepared")
+
+    monkeypatch.setattr(geometry, "_Walk", refuse)
+    got = [find_ladders(host, m, k, scope)
+           for host, k in hosts for scope in SCAN_SCOPES for m in (1, 2)]
+    assert got == want
+
+
+def test_ladder_pairing_reads_no_distance_row(monkeypatch):
+    """find_ladders requests exactly the BFS DAGs of its pair source, which the
+    bigon scan shares; the pairing adds none."""
+    requests = []
+    original = Graph.dag
+
+    def recording(self, source, count_cap=None):
+        requests.append(source)
+        return original(self, source, count_cap)
+
+    monkeypatch.setattr(Graph, "dag", recording)
+    for make in (lambda: grid_graph(4, 5), petersen_graph, lambda: _zxz_ball(3)):
+        for m in (1, 2, 3):
+            requests.clear()
+            enumerate_bigons(make())
+            source_only = list(requests)
+            requests.clear()
+            find_ladders(make(), m, 1)
+            assert requests == source_only
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("m", [0, -2])
+def test_find_ladders_rejects_bad_width_first(monkeypatch, m, k):
+    def no_bfs(self, source, count_cap=None):
+        raise AssertionError(f"BFS from vertex {source}")
+
+    monkeypatch.setattr(Graph, "dag", no_bfs)
+    with pytest.raises(ValueError, match="^width m must be at least 1$"):
+        find_ladders(cycle_graph(6), m, k)
 
 
 def _zxz_ball(radius):
