@@ -172,6 +172,8 @@ def cmd_ball(args) -> int:
 
 
 def cmd_check_k(args) -> int:
+    if args.k < 1:
+        raise ValueError("k must be at least 1")
     min_k, witness = _min_k(_load_host(args))
     ok = min_k <= args.k
     print(f"k-geodetic: {'true' if ok else 'false'} (min k = {min_k})")
@@ -196,6 +198,8 @@ def cmd_ladders(args) -> int:
     scope = _scope(args)
     if args.m < 1:
         raise ValueError("width m must be at least 1")
+    if args.k is not None and args.k < 1:
+        raise ValueError("k must be at least 1")
     host = _load_host(args)
     k = args.k if args.k is not None else _min_k(host)[0]
     cov = find_ladders(host, args.m, k, scope)

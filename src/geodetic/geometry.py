@@ -10,17 +10,14 @@ width m and height r is an asynchronously disjoint pair with a_m = r.
 The ladder pairing compares the geodesics of a length bucket on bit masks:
 one AND decides asynchronous disjointness and one popcount gives a_m, from
 a BFS of depth m per vertex, so find_ladders reads no distance row.  A full
-PairStats comes from two prepared walks, which carry the distance row of
-each vertex: pair_stats validates and prepares its walks per call, and
-iter_disjoint_pairs prepares each geodesic once for the pairs the masks keep.
-The bigon and triangle scans classify their enumerated geodesics without
-validating them again, and the triangle scan enumerates each ordered side
-once per scan.
+PairStats reads the distance rows of its first walk's vertices, each row at
+most once per pair_stats or iter_disjoint_pairs call.  The bigon and
+triangle scans classify their enumerated geodesics without validating them
+again, and the triangle scan enumerates each ordered side once per scan.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, islice
@@ -86,65 +83,37 @@ class PairStats:
     synchronously_co_travelling: bool
 
 
-class _Walk:
-    """A walk prepared for the full pair kernel of pair_stats and iter_disjoint_pairs.
+class _Rows(dict):
+    """The distance row of each vertex of g, read from its BFS DAG at first use."""
 
-    rows[i] is the BFS distance row of vertex i of the walk, and at maps each
-    vertex to its index (-1 when the vertex repeats, which pair_stats allows).
-    edges() builds the edge sets, which only the full pair kernel reads, at
-    its first call.
+    def __init__(self, g: Graph):
+        self.g = g
+
+    def __missing__(self, v: int) -> list[int]:
+        row = self[v] = self.g.dag(v).dist
+        return row
+
+
+def _stats(rows: _Rows, v1: tuple, v2: tuple, m: int, disjoint: bool) -> PairStats:
+    """PairStats of equal-length walks whose disjointness is known; raises
+    UnreachablePairError at the first index whose vertices share no component.
+
+    The walks share an indexed edge exactly when two consecutive distances
+    are 0, and disjoint walks can share a directed edge only at one index.
     """
-
-    __slots__ = ("path", "rows", "at", "_edges")
-
-    def __init__(self, g: Graph, path: PathSeq):
-        vs = path.vertices
-        at: dict[int, int] = {}
-        for i, v in enumerate(vs):
-            at[v] = -1 if v in at else i
-        self.path = path
-        self.rows = [g.dag(a).dist for a in vs]
-        self.at = at
-        self._edges = None
-
-    def edges(self) -> tuple[frozenset, frozenset]:
-        """The directed edges (a, b) and the indexed edges (i, a, b) of the walk."""
-        if self._edges is None:
-            vs = self.path.vertices
-            steps = tuple(zip(vs, vs[1:]))
-            self._edges = frozenset(steps), frozenset((i, *e) for i, e in enumerate(steps))
-        return self._edges
-
-
-def _disjoint(w1: _Walk, w2: _Walk) -> bool:
-    """Asynchronous disjointness: every shared vertex sits once in each walk, at one index."""
-    at1, at2 = w1.at, w2.at
-    if at1.keys().isdisjoint(at2):
-        return True
-    for v in at1.keys() & at2.keys():
-        i = at1[v]
-        if i < 0 or i != at2[v]:
-            return False
-    return True
-
-
-def _pair_kernel(w1: _Walk, w2: _Walk, m: int, disjoint: bool) -> PairStats:
-    """PairStats of two prepared equal-length walks whose disjointness is known; raises
-    UnreachablePairError at the first index whose vertices share no component."""
-    p2 = w2.path.vertices
-    distances = tuple(map(list.__getitem__, w1.rows, p2))
+    distances = tuple(map(list.__getitem__, map(rows.__getitem__, v1), v2))
     if UNREACHED in distances:
         i = distances.index(UNREACHED)
-        raise UnreachablePairError(f"no path between vertices {w1.path[i]} and {p2[i]}")
-    (edges1, steps1), (edges2, steps2) = w1.edges(), w2.edges()
-    co = not edges1.isdisjoint(edges2)
-    sync = co and not steps1.isdisjoint(steps2)
+        raise UnreachablePairError(f"no path between vertices {v1[i]} and {v2[i]}")
+    sync = 0 in distances and (0, 0) in zip(distances, distances[1:])
+    co = sync if disjoint else not set(zip(v1, v1[1:])).isdisjoint(zip(v2, v2[1:]))
     c_m = sum(1 for d in distances if 1 <= d <= m)
     return PairStats(m, distances, distances.count(m), c_m, disjoint, co, sync)
 
 
 def pair_stats(g: Graph, p1: PathSeq, p2: PathSeq, m: int) -> PairStats:
-    """Distances, a_m / c_m counters and the meeting flags for an equal-length pair."""
+    """Distances, a_m / c_m counters and the meeting flags for an equal-length pair;
+    only p1's vertices have their distance rows read."""
     if m < 1:
         raise ValueError("width m must be at least 1")
     validate_path(g, p1)
@@ -153,8 +122,12 @@ def pair_stats(g: Graph, p1: PathSeq, p2: PathSeq, m: int) -> PairStats:
         raise ValueError(
             f"paths have different lengths ({p1.length} vs {p2.length}); pad first if intended"
         )
-    w1, w2 = _Walk(g, p1), _Walk(g, p2)
-    return _pair_kernel(w1, w2, m, _disjoint(w1, w2))
+    v1, v2 = p1.vertices, p2.vertices
+    at: dict[int, int] = {}  # vertex of p2 -> its index, -1 when it repeats
+    for j, v in enumerate(v2):
+        at[v] = -1 if v in at else j
+    disjoint = all(at.get(v, i) == i for i, v in enumerate(v1))
+    return _stats(_Rows(g), v1, v2, m, disjoint)
 
 
 def ladder_bound_A(m: int, k: int) -> int:
@@ -275,16 +248,16 @@ def iter_disjoint_pairs(
     lexicographically, each geodesic directed from the smaller endpoint),
     bucketed by length, and paired within each bucket, so the two geodesics
     of a pair may join different endpoint pairs.  The mask test of
-    find_ladders picks the pairs, and only those get a PairStats, from walks
-    prepared once per geodesic.  The geodesics come from enumeration, so no
-    pair is validated again.  A width below 1 raises ValueError at the call,
-    before any pair is produced.
+    find_ladders picks the pairs, and only those get a PairStats; each
+    vertex's distance row is read once per call.  The geodesics come from
+    enumeration, so no pair is validated again.  A width below 1 raises
+    ValueError at the call, before any pair is produced.
     """
     if m < 1:
         raise ValueError("width m must be at least 1")
-    walk = functools.cache(functools.partial(_Walk, _graph_and_filter(host)[0]))
+    rows = _Rows(_graph_and_filter(host)[0])
     pairs = _mask_pairs(host, m, scope or SearchScope(), Coverage())
-    return ((p1, p2, _pair_kernel(walk(p1), walk(p2), m, True)) for p1, p2, _ in pairs)
+    return ((p1, p2, _stats(rows, p1.vertices, p2.vertices, m, True)) for p1, p2, _ in pairs)
 
 
 def _sphere(adj, x: int, m: int) -> set[int]:
@@ -392,11 +365,11 @@ def find_ladders(
     k_verified is the caller-certified geodeticity constant of the host; it
     only feeds the reported bound A(m, k).  The search pairs geodesics as
     iter_disjoint_pairs does, on bit masks: one AND decides disjointness and
-    one popcount gives a_m, so no walk is prepared, no distance row is read
-    and no PairStats is built.  Every report's pair is asynchronously
-    disjoint with height a_m >= 1.  For a CayleyBall only trusted pairs
-    enter the scan and the skipped ones are counted.  A width below 1 raises
-    ValueError before anything else.
+    one popcount gives a_m, so no distance row is read and no PairStats is
+    built.  Every report's pair is asynchronously disjoint with height
+    a_m >= 1.  For a CayleyBall only trusted pairs enter the scan and the
+    skipped ones are counted.  A width below 1 raises ValueError before
+    anything else.
     """
     if m < 1:
         raise ValueError("width m must be at least 1")

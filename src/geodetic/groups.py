@@ -599,24 +599,6 @@ class CayleyBall:
             return None
         return len(self.elements) / order
 
-    def word_of_path(self, vertices: Sequence[int]) -> Word:
-        """Generator labels read along a path of ball vertices, from steps."""
-        n = self.vertex_count
-        if vertices and not (0 <= min(vertices) and max(vertices) < n):
-            raise ValueError(f"path leaves the ball's vertices 0..{n - 1}")
-        moves = list(zip(self.genset.labels, self.steps))
-        label, row = moves[0]
-        word = []
-        for u, v in zip(vertices, vertices[1:]):
-            if row[u] != v:  # runs of one generator are common, so try it first
-                for label, row in moves:
-                    if row[u] == v:
-                        break
-                else:
-                    raise ValueError(f"no edge between ball vertices {u} and {v}")
-            word.append(label)
-        return tuple(word)
-
 
 def cayley_ball(
     spec: GroupSpec, genset: GenSet, radius: int, budget: Optional[int] = None
@@ -625,14 +607,20 @@ def cayley_ball(
 
     Each vertex is multiplied by each generator exactly once, and the
     products are recorded in CayleyBall.steps.  budget caps the number of
-    vertices (default 10^6, overridable via the GEODETIC_BALL_BUDGET
-    environment variable); exceeding it raises BallBudgetError before
-    memory runs away.
+    vertices (default 10^6, or the GEODETIC_BALL_BUDGET environment variable,
+    which raises ValueError unless it is an integer of at least 1); exceeding
+    it raises BallBudgetError before memory runs away.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if budget is None:
-        budget = int(os.environ.get(BALL_BUDGET_ENV, DEFAULT_BALL_BUDGET))
+        text = os.environ.get(BALL_BUDGET_ENV, str(DEFAULT_BALL_BUDGET))
+        try:
+            budget = int(text)
+        except ValueError:
+            budget = 0
+        if budget < 1:
+            raise ValueError(f"{BALL_BUDGET_ENV} must be an integer of at least 1, got {text!r}")
     identity = spec.identity()
     elements: list[Element] = [identity]
     index: dict[Element, int] = {identity: 0}

@@ -8,7 +8,8 @@ corner triples from a full scan of plain BFS rows, classify by hand, and
 reuse only the library's geodesic enumeration.  The language oracles are
 the earlier, longer forms of the stabilisation fit and the factor
 automaton, with every pruning step spelled out, and the power languages
-read off the ball graph's geodesic enumeration.
+read off the ball graph's geodesic enumeration, each path's labels found
+by multiplying in the group.
 """
 
 from __future__ import annotations
@@ -343,6 +344,26 @@ def naive_triangles(host, scope) -> Coverage:
     return cov
 
 
+def word_of_path(ball: CayleyBall, vertices) -> tuple:
+    """Generator labels read along a path of ball vertices.
+
+    Each step u -> v takes the first generator s, in genset order, with
+    elements[u] * s == elements[v], found by multiplying in the group rather
+    than by reading ball.steps.
+    """
+    n = ball.vertex_count
+    if vertices and not (0 <= min(vertices) and max(vertices) < n):
+        raise ValueError(f"path leaves the ball's vertices 0..{n - 1}")
+    word = []
+    for u, v in zip(vertices, vertices[1:]):
+        labels = [label for label, s in ball.genset.items()
+                  if ball.spec.multiply(ball.elements[u], s) == ball.elements[v]]
+        if not labels:
+            raise ValueError(f"no edge between ball vertices {u} and {v}")
+        word.append(labels[0])
+    return tuple(word)
+
+
 def naive_power_languages(ball: CayleyBall, g_word, n_max: int) -> tuple:
     """The geodesic-word sets of g^0..g^n_max, by enumerating geodesics.
 
@@ -358,7 +379,7 @@ def naive_power_languages(ball: CayleyBall, g_word, n_max: int) -> tuple:
         v = ball.vertex_of(e)
         # A geodesic from g^n to 1, read backwards, is one from 1 to g^n.
         paths, _ = enumerate_geodesics(ball.graph, v, 0)
-        words = sorted(ball.word_of_path(p.vertices[::-1]) for p in paths)
+        words = sorted(word_of_path(ball, p.vertices[::-1]) for p in paths)
         languages.append(tuple(words))
         e = spec.multiply(e, g)
     return tuple(languages)

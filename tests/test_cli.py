@@ -2,10 +2,12 @@ from pathlib import Path
 
 import pytest
 
-from geodetic import CayleyBall, cayley_ball, cli, parse_group_file
+from geodetic import cayley_ball, cli, parse_group_file
 from geodetic.graphs import Graph, format_graph, graph_to_dot, parse_graph
 from geodetic.lang import parse_forbidden_file
 from geodetic.zoo import complete_bipartite, grid_graph, petersen_graph
+
+from oracles import word_of_path
 
 C6_GROUP = "group cyclic 6\ngen a pow 1\ngen a' pow 5\nball R=3\n"
 Z6_ODD = "group cyclic 6\ngen a1 pow 1\ngen a3 pow 3\ngen a5 pow 5\nball R=2\n"
@@ -126,7 +128,7 @@ def test_ball_dot_golden(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["zxz", "z2z3", "z6odd"])
-def test_ball_dot_labels_match_word_of_path(capsys, tmp_path, monkeypatch, name):
+def test_ball_dot_labels_match_word_of_path(capsys, tmp_path, name):
     # The edge labels come from one pass over steps; word_of_path is the oracle.
     text = {"zxz": ZXZ_R4, "z2z3": Z2Z3_GROUP.replace("R=12", "R=5"), "z6odd": Z6_ODD}[name]
     path = tmp_path / f"{name}.grp"
@@ -134,12 +136,7 @@ def test_ball_dot_labels_match_word_of_path(capsys, tmp_path, monkeypatch, name)
     gf = parse_group_file(text)
     ball = cayley_ball(gf.spec, gf.genset, gf.default_radius)
     want = graph_to_dot(ball.graph, vertex_labels=[gf.spec.format_element(x) for x in ball.elements],
-                        edge_label=lambda u, v: ball.word_of_path((u, v))[0])
-
-    def refuse(self, vertices):
-        raise AssertionError("word_of_path called")
-
-    monkeypatch.setattr(CayleyBall, "word_of_path", refuse)
+                        edge_label=lambda u, v: word_of_path(ball, (u, v))[0])
     dot = tmp_path / "ball.dot"
     code, _, err = run(capsys, ["ball", "--group", str(path), "--dot", str(dot)])
     assert (code, err) == (0, "")
@@ -251,6 +248,28 @@ def test_ladders_rejects_width_before_any_bfs(capsys, c4, monkeypatch, width):
     monkeypatch.setattr(Graph, "dag", no_bfs)
     result = run(capsys, ["ladders", "--graph", c4, "--m", width])
     assert result == (2, "", "error: width m must be at least 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-k", "--graph", "c4", "--k", "0"],
+    ["check-k", "--graph", "c4", "--k", "-3", "--expect", "false"],
+    ["check-k", "--group", "c6", "--k", "0"],
+    ["ladders", "--graph", "c4", "--k", "0"],
+    ["ladders", "--group", "c6", "--m", "2", "--k", "-1"],
+])
+def test_k_below_one_is_rejected_before_any_host_is_loaded(capsys, c4, c6, monkeypatch, argv):
+    argv = [{"c4": c4, "c6": c6}.get(a, a) for a in argv]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("host loaded")
+
+    monkeypatch.setattr(cli, "parse_graph", refuse)
+    monkeypatch.setattr(cli, "cayley_ball", refuse)
+    assert run(capsys, argv) == (2, "", "error: k must be at least 1\n")
+    # The width is still checked first.
+    if argv[0] == "ladders":
+        result = run(capsys, argv + ["--m", "0"])
+        assert result == (2, "", "error: width m must be at least 1\n")
 
 
 SCAN_COMMANDS = [
@@ -634,6 +653,14 @@ def test_ball_budget_env(capsys, c6, monkeypatch):
     monkeypatch.setenv("GEODETIC_BALL_BUDGET", "3")
     code, _, err = run(capsys, ["ball", "--group", c6])
     assert code == 2 and "budget" in err
+
+
+@pytest.mark.parametrize("value", ["x", "", "2.5", "0", "-4"])
+def test_ball_budget_env_rejects_a_bad_value(capsys, c6, monkeypatch, value):
+    monkeypatch.setenv("GEODETIC_BALL_BUDGET", value)
+    for argv in (["ball", "--group", c6], ["min-k", "--group", c6]):
+        assert run(capsys, argv) == (
+            2, "", f"error: GEODETIC_BALL_BUDGET must be an integer of at least 1, got {value!r}\n")
 
 
 def test_deterministic_output(capsys, c4, tmp_path):

@@ -590,15 +590,16 @@ def test_mask_pairing_matches_oracle(family, size, seed, m, caps, bucket, cap_ki
         naive_disjoint_pairs(host, m, scope, Coverage()))
 
 
-def test_find_ladders_builds_no_walk(monkeypatch):
+def test_find_ladders_builds_no_pair_stats(monkeypatch):
     hosts = _scan_hosts()
     want = [naive_find_ladders(host, m, k, scope)
             for host, k in hosts for scope in SCAN_SCOPES for m in (1, 2)]
 
     def refuse(*args):
-        raise AssertionError("walk prepared")
+        raise AssertionError("distance rows or PairStats built")
 
-    monkeypatch.setattr(geometry, "_Walk", refuse)
+    monkeypatch.setattr(geometry, "_Rows", refuse)
+    monkeypatch.setattr(geometry, "PairStats", refuse)
     got = [find_ladders(host, m, k, scope)
            for host, k in hosts for scope in SCAN_SCOPES for m in (1, 2)]
     assert got == want
@@ -623,6 +624,28 @@ def test_ladder_pairing_reads_no_distance_row(monkeypatch):
             requests.clear()
             find_ladders(make(), m, 1)
             assert requests == source_only
+
+
+def test_iter_disjoint_pairs_reads_each_row_once_per_call(monkeypatch):
+    """Beyond the pair source's one BFS DAG per vertex, the PairStats of a call
+    request each vertex's distance row at most once."""
+    requests = []
+    original = Graph.dag
+
+    def recording(self, source, count_cap=None):
+        requests.append(source)
+        return original(self, source, count_cap)
+
+    monkeypatch.setattr(Graph, "dag", recording)
+    for make in (lambda: grid_graph(4, 5), petersen_graph, lambda: _zxz_ball(3)):
+        for m in (1, 2):
+            requests.clear()
+            enumerate_bigons(make())
+            source_only = len(requests)
+            requests.clear()
+            assert list(iter_disjoint_pairs(make(), m))
+            rows = requests[source_only:]
+            assert rows and len(rows) == len(set(rows))
 
 
 @pytest.mark.parametrize("k", [0, 1])

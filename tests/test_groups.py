@@ -31,7 +31,7 @@ from geodetic.zoo import (
     z_cross_z2,
 )
 
-from oracles import push_product, two_pass_ball
+from oracles import push_product, two_pass_ball, word_of_path
 
 
 def cyclic_table(n):
@@ -439,7 +439,7 @@ def test_cayley_ball_matches_two_pass_oracle(group, radius, budget):
     assert ball.graph.adj == graph.adj
     assert ball.edge_count == ball.graph.edge_count
     for (u, v), label in edge_labels.items():
-        assert ball.word_of_path((u, v)) == (label,)
+        assert word_of_path(ball, (u, v)) == (label,)
 
 
 def test_word_of_path_and_word_to_element():
@@ -451,10 +451,10 @@ def test_word_of_path_and_word_to_element():
 
     paths, _ = enumerate_geodesics(ball.graph, 0, v)
     for p in paths:
-        w = ball.word_of_path(p.vertices)
+        w = word_of_path(ball, p.vertices)
         assert word_to_element(spec, gens, w) == target
     with pytest.raises(ValueError):
-        ball.word_of_path((0, ball.vertex_count - 1))
+        word_of_path(ball, (0, ball.vertex_count - 1))
 
 
 def test_vertex_of_outside_ball():
