@@ -7,6 +7,9 @@ asynchronously disjoint when p1(i) != p2(j) for every pair of DISTINCT
 indices (same-index meetings are allowed), and a ladder-like structure of
 width m and height r is an asynchronously disjoint pair with a_m = r.
 
+The ladder and bigon scans take their vertex pairs, closest first, from BFS
+rounds that grow one layer per vertex and round only as far as the pair cap
+needs, and read each pair's geodesics off them; they ask Graph.dag for nothing.
 The ladder pairing compares the geodesics of a length bucket on bit masks:
 one AND decides asynchronous disjointness and one popcount gives a_m, from
 a BFS of depth m per vertex, so find_ladders reads no distance row.  A full
@@ -19,10 +22,11 @@ again, and the triangle scan enumerates each ordered side once per scan.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, islice
 from operator import eq
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .graphs import (
     Graph,
@@ -30,6 +34,7 @@ from .graphs import (
     UNREACHED,
     UnreachablePairError,
     enumerate_geodesics,
+    geodesic_walks,
 )
 from .groups import CayleyBall
 
@@ -172,9 +177,9 @@ class Coverage:
     for triangles they are corner triples, under the triple cap max_pairs.
     geodesic_pairs_scanned counts the geodesic pairs the ladder pairing
     compared; max_geodesic_pairs bounds only that pairing, so it is 0 for
-    bigons and triangles.  skipped counts the untrusted rows passed over
-    before the scan stopped: the pair source reads every pair before it
-    sorts, the triple scan stops at the first triple past its cap.
+    bigons and triangles.  skipped counts every untrusted pair of the ball,
+    from its norms, however soon the scan stops; for triangles, the
+    untrusted triples passed over before the triple cap stopped the scan.
     exhausted says a cap cut the search short, a truncated geodesic list
     included.
     """
@@ -196,13 +201,11 @@ class LadderReport:
     within_bound: bool
 
 
-GraphOrBall = Union[Graph, CayleyBall]
-
-
-def _graph_and_filter(host: GraphOrBall):
-    if isinstance(host, CayleyBall):
-        return host.graph, host.is_trusted_pair
-    return host, None
+def _graph_and_filter(host: Graph | CayleyBall):
+    """The host's graph and its trusted-pair filter, None where every pair is trusted."""
+    if isinstance(host, Graph):
+        return host, None
+    return host.graph, None if host.complete else host.is_trusted_pair
 
 
 def _capped(rows: Iterator, cap: Optional[int], cov: Coverage) -> Iterator:
@@ -212,34 +215,56 @@ def _capped(rows: Iterator, cap: Optional[int], cov: Coverage) -> Iterator:
         cov.exhausted = True
 
 
-def _vertex_pairs(g: Graph, pair_filter, cov: Coverage) -> Iterator[tuple[int, int, int]]:
-    """Reachable vertex pairs u < v as (d, u, v) in (distance, u, v) order;
-    pairs the filter rejects (untrusted ball pairs) count in cov.skipped."""
-    rows = []
-    for u in range(g.vertex_count):
-        dist = g.dag(u).dist
-        for v in range(u + 1, g.vertex_count):
-            if dist[v] == UNREACHED:
-                continue
-            if pair_filter is None or pair_filter(u, v):
-                rows.append((dist[v], u, v))
-            else:
-                cov.skipped += 1
-    yield from sorted(rows)
+def _vertex_pairs(host, cov: Coverage, near: list[dict[int, int]]) -> Iterator[tuple]:
+    """Reachable vertex pairs u < v as (d, u, v) in (distance, u, v) order.
+
+    Round d grows the BFS of each vertex u by one layer into near[u], its
+    map vertex -> distance, and yields u's pairs at distance d right after
+    u's layer, so near[v] holds exactly the vertices within d - 1 of v when
+    (d, u, v) comes out.  On an incomplete ball only trusted pairs come out,
+    cov.skipped counts the others from the norms, and the rounds stop at
+    the radius, past which no pair is trusted.
+    """
+    g, pair_filter = _graph_and_filter(host)
+    adj, n, last = g.adj, g.vertex_count, None
+    if pair_filter is not None:
+        norms, last = sorted(host.norms), host.radius
+        # Ordered pairs with norm sum above the radius, less each vertex with itself.
+        above = sum(n - bisect_right(norms, last - x) for x in norms)
+        cov.skipped += (above - n + bisect_right(norms, last // 2)) // 2
+    near.extend({u: 0} for u in range(n))
+    layers = [[u] for u in range(n)]
+    d = 0
+    while any(layers) and d != last:
+        d += 1
+        for u in range(n):
+            seen, layer = near[u], []
+            for x in layers[u]:
+                for y in adj[x]:
+                    if y not in seen:
+                        seen[y] = d
+                        layer.append(y)
+            layers[u] = layer
+            for v in sorted(layer):
+                if v > u and (pair_filter is None or pair_filter(u, v)):
+                    yield d, u, v
 
 
-def _pair_geodesics(g: Graph, pair_filter, scope: SearchScope, cov: Coverage):
-    """(d, geodesics u -> v) of each scoped vertex pair, counted in cov.pairs_scanned;
-    at most scope.max_geodesics per pair, and a truncated list marks cov.exhausted."""
-    for d, u, v in _capped(_vertex_pairs(g, pair_filter, cov), scope.max_pairs, cov):
+def _pair_geodesics(host, scope: SearchScope, cov: Coverage):
+    """(d, geodesics u -> v) of each scoped vertex pair, read off near[v] and
+    counted in cov.pairs_scanned; at most scope.max_geodesics per pair, and a
+    truncated list marks cov.exhausted."""
+    adj = _graph_and_filter(host)[0].adj
+    near: list[dict[int, int]] = []
+    for d, u, v in _capped(_vertex_pairs(host, cov, near), scope.max_pairs, cov):
         cov.pairs_scanned += 1
-        geos, truncated = enumerate_geodesics(g, u, v, limit=scope.max_geodesics)
+        geos, truncated = geodesic_walks(adj, u, v, d, near[v].get, scope.max_geodesics)
         cov.exhausted |= truncated
         yield d, geos
 
 
 def iter_disjoint_pairs(
-    host: GraphOrBall, m: int, scope: Optional[SearchScope] = None
+    host: Graph | CayleyBall, m: int, scope: Optional[SearchScope] = None
 ) -> Iterator[tuple[PathSeq, PathSeq, PairStats]]:
     """Asynchronously disjoint equal-length geodesic pairs within scope,
     each with its full PairStats at width m.
@@ -321,9 +346,9 @@ def _mask_pairs(host, m, scope, cov):
     Masks are built only for buckets the cap reaches.  A disjoint pair in two
     components raises UnreachablePairError, as its index-0 distance would.
     """
-    g, pair_filter = _graph_and_filter(host)
+    g = _graph_and_filter(host)[0]
     buckets: dict[int, list[PathSeq]] = {}
-    for d, geos in _pair_geodesics(g, pair_filter, scope, cov):
+    for d, geos in _pair_geodesics(host, scope, cov):
         buckets.setdefault(d, []).extend(geos)
     room = scope.max_geodesic_pairs
     spheres: dict[int, set[int]] = {}
@@ -358,7 +383,7 @@ def _mask_pairs(host, m, scope, cov):
 
 
 def find_ladders(
-    host: GraphOrBall, m: int, k_verified: int, scope: Optional[SearchScope] = None
+    host: Graph | CayleyBall, m: int, k_verified: int, scope: Optional[SearchScope] = None
 ) -> Coverage:
     """Scoped search for width-m ladder-like structures.
 
@@ -458,18 +483,17 @@ def classify_bigon(g: Graph, alpha: PathSeq, beta: PathSeq) -> Bigon:
     return Bigon(alpha, beta, degenerate)
 
 
-def enumerate_bigons(host: GraphOrBall, scope: Optional[SearchScope] = None) -> Coverage:
+def enumerate_bigons(host: Graph | CayleyBall, scope: Optional[SearchScope] = None) -> Coverage:
     """Every pair of distinct geodesics u -> v over the scoped vertex pairs.
 
     The Coverage counts pairs as find_ladders does, skipped being every
-    untrusted pair passed over before the scan stopped; max_geodesic_pairs
-    bounds only the ladder pairing, so geodesic_pairs_scanned stays 0.  The
-    sides come from one enumeration, so they are classified as classify_bigon
-    would without its checks.
+    untrusted pair of the ball; max_geodesic_pairs bounds only the ladder
+    pairing, so geodesic_pairs_scanned stays 0.  The sides come from one
+    enumeration, so they are classified as classify_bigon would without its
+    checks.
     """
-    g, pair_filter = _graph_and_filter(host)
     cov = Coverage()
-    for _, geos in _pair_geodesics(g, pair_filter, scope or SearchScope(), cov):
+    for _, geos in _pair_geodesics(host, scope or SearchScope(), cov):
         for a, b in combinations(geos, 2):
             cov.found.append(Bigon(a, b, any(map(eq, a.vertices[1:-1], b.vertices[1:-1]))))
     return cov
@@ -523,7 +547,7 @@ def _corner_triples(g: Graph, pair_filter, cov: Coverage) -> Iterator[tuple[int,
                 cov.skipped += 1
 
 
-def enumerate_triangles(host: GraphOrBall, scope: Optional[SearchScope] = None) -> Coverage:
+def enumerate_triangles(host: Graph | CayleyBall, scope: Optional[SearchScope] = None) -> Coverage:
     """Geodesic triangles over corner triples x <= y <= z within scope.
 
     The triple cap reuses scope.max_pairs, and pairs_scanned counts triples;

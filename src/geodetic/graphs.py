@@ -80,7 +80,7 @@ class Graph:
 
     Adjacency lists are sorted, which fixes the order of every enumeration
     built on top of them.  One BFS DAG is memoised per source (see dag), so
-    repeated distance or count queries are cheap.
+    repeated distance queries are cheap; the all-pairs counts bypass it.
     """
 
     def __init__(self, vertex_count: int, adjacency: Sequence[Iterable[int]]):
@@ -173,28 +173,32 @@ def build_graph(edge_list: Iterable[tuple[int, int]], vertex_count: int) -> Grap
 def bfs_dag(g: Graph, source: int, count_cap: Optional[int] = None) -> GeodesicDag:
     """Layered BFS from source: distances and geodesic counts.
 
-    counts[v] is the sum of counts over the geodesic predecessors of v,
-    clipped at count_cap when a cap is given.
+    counts[v] sums counts over the geodesic predecessors of v, one addition
+    per edge.  A count_cap clips each new layer once; the terms are
+    nonnegative, so that equals clipping after every addition.
     """
     g.check_vertex(source)
     if count_cap is not None and count_cap < 1:
         raise ValueError("count_cap must be at least 1")
-    n = g.vertex_count
-    dist = [UNREACHED] * n
-    counts = [0] * n
-    dist[source] = 0
-    counts[source] = 1
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du1 = dist[u] + 1
-        for v in g.adj[u]:
-            if dist[v] == UNREACHED:
-                dist[v] = du1
-                queue.append(v)
-            if dist[v] == du1:
-                c = counts[v] + counts[u]
-                counts[v] = c if count_cap is None else min(c, count_cap)
+    adj, n = g.adj, g.vertex_count
+    dist, counts = [UNREACHED] * n, [0] * n
+    dist[source], counts[source] = 0, 1
+    layer, d = [source], 0
+    while layer:
+        d += 1
+        nxt = []
+        for u in layer:
+            c = counts[u]
+            for v in adj[u]:
+                if dist[v] == UNREACHED:
+                    dist[v], counts[v] = d, c
+                    nxt.append(v)
+                elif dist[v] == d:
+                    counts[v] += c
+        if count_cap is not None:
+            for v in nxt:
+                counts[v] = min(counts[v], count_cap)
+        layer = nxt
     return GeodesicDag(source, dist, counts, count_cap)
 
 
@@ -229,15 +233,21 @@ def enumerate_geodesics(
     if u == v:
         # The single-vertex geodesic counts against the limit like any other.
         return ([], True) if limit == 0 else ([PathSeq((u,))], False)
+    return geodesic_walks(g.adj, u, v, total, dv.__getitem__, limit)
+
+
+def geodesic_walks(adj, u: int, v: int, total: int, dist_to_v, limit: Optional[int]):
+    """The geodesics u -> v of length total >= 1, as enumerate_geodesics returns them;
+    dist_to_v(x) must be exact where d(x, v) < total and no number below total elsewhere."""
     # A walk from u is a geodesic to v exactly when every step lowers the
     # distance to v by one.  stack[i] holds the unexplored neighbours of path[i].
     out: list[PathSeq] = []
     path = [u]
-    stack = [iter(g.adj[u])]
+    stack = [iter(adj[u])]
     while stack:
         down = total - len(path)
         for x in stack[-1]:
-            if dv[x] != down:
+            if dist_to_v(x) != down:
                 continue
             if x == v:
                 if limit is not None and len(out) == limit:
@@ -245,7 +255,7 @@ def enumerate_geodesics(
                 out.append(PathSeq((*path, v)))
             else:
                 path.append(x)
-                stack.append(iter(g.adj[x]))
+                stack.append(iter(adj[x]))
                 break
         else:
             stack.pop()
@@ -257,12 +267,14 @@ def _pair_counts(
     g: Graph,
     pair_filter: Optional[Callable[[int, int], bool]],
     count_cap: Optional[int],
+    k: Optional[int] = None,
 ) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (dist, u, v, count) for admitted pairs u < v, in (u, v) order.
-
-    Nothing is materialised: each row is read from the cached DAG of u.
-    For a single-vertex graph the lone pair (0, 0) is admitted so that the
-    scan is never empty.
+    """One (dist, u, v, count) row per source u: its first admitted pair u < v
+    in (dist, v) order with the largest count, or with k given, with a count
+    above k, so min_k_of_rows and k_geodetic_of_rows pick from these rows the
+    pair they would pick from all.  Each source with an admitted partner
+    runs one transient bfs_dag, and no DAG is cached.  For a single-vertex
+    graph the lone pair (0, 0) is admitted so that the scan is never empty.
     """
     if g.vertex_count == 0:
         raise ValueError("empty graph")
@@ -273,11 +285,14 @@ def _pair_counts(
             yield (0, 0, 0, 1)
         return
     for u in range(g.vertex_count):
-        dag = g.dag(u, count_cap)
-        dist, counts = dag.dist, dag.counts
-        for v in range(u + 1, g.vertex_count):
-            if pair_filter is None or pair_filter(u, v):
-                yield (dist[v], u, v, counts[v])
+        vs = [v for v in range(u + 1, g.vertex_count) if pair_filter is None or pair_filter(u, v)]
+        if vs:
+            dag = bfs_dag(g, u, count_cap)
+            top = max(map(dag.counts.__getitem__, vs)) if k is None else k + 1
+            best = [(dag.dist[v], v) for v in vs if dag.counts[v] >= top]
+            if best:
+                d, v = min(best)
+                yield (d, u, v, dag.counts[v])
 
 
 def min_k_of_rows(
@@ -324,7 +339,8 @@ def min_geodetic_k(
     (distance, u, v).  The diagonal is skipped except on a single-vertex
     graph, where the answer is 1 with witness (0, 0).
 
-    This is the all-pairs path: one BFS per vertex and n^2/2 pairs.  On a
+    This is the all-pairs path: one transient BFS per source with an
+    admitted partner, so memory stays O(n) beyond the graph.  On a
     Cayley ball, CayleyBall.min_geodetic_k gets the same answer from the
     identity BFS alone; this function, called with ball.is_trusted_pair as
     the filter, is its oracle.
@@ -337,13 +353,13 @@ def is_k_geodetic(
 ) -> tuple[bool, Optional[tuple[int, int]]]:
     """Whether every vertex pair has at most k geodesics.
 
-    Counts are exact and read from the shared DAG cache, so a call after an
-    uncapped min_geodetic_k on the same graph runs no BFS.  On failure the
-    counterexample is the first violating pair in (distance, u, v) order.
-    On a Cayley ball, CayleyBall.is_k_geodetic is the one-BFS path and this
-    function its oracle.
+    Counts are exact, from one transient BFS per source with an admitted
+    partner, as in min_geodetic_k.  On failure the counterexample is the
+    first violating pair in (distance, u, v) order.  On a Cayley ball,
+    CayleyBall.is_k_geodetic is the one-BFS path and this function its
+    oracle.
     """
-    return k_geodetic_of_rows(_pair_counts(g, pair_filter, count_cap=None), k)
+    return k_geodetic_of_rows(_pair_counts(g, pair_filter, None, k), k)
 
 
 def is_complete_bipartite(g: Graph) -> Optional[tuple[int, int]]:

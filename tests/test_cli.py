@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from geodetic import cayley_ball, cli, parse_group_file
 from geodetic.graphs import Graph, format_graph, graph_to_dot, parse_graph
 from geodetic.lang import parse_forbidden_file
-from geodetic.zoo import complete_bipartite, grid_graph, petersen_graph
+from geodetic.zoo import complete_bipartite, grid_graph, petersen_graph, random_tree
 
 from oracles import word_of_path
 
@@ -238,6 +239,27 @@ def test_ladders_disconnected_host_error(capsys, tmp_path):
     result = run(capsys, ["ladders", "--graph", str(path), "--m", "1", "--k", "1"])
     assert result == (2, "", "error: no path between vertices 0 and 3\n")
 
+
+
+@pytest.mark.parametrize("host", ["tree", "ball"])
+def test_ladders_scan_reads_no_bfs_dag(capsys, tmp_path, monkeypatch, host):
+    # The pair source grows its own BFS rounds and reads geodesics off them.
+    if host == "tree":
+        path = tmp_path / "tree.g"
+        path.write_text(format_graph(random_tree(60, random.Random(5))))
+        argv = ["ladders", "--graph", str(path), "--k", "1", "--scope-pairs", "200", "--verbose"]
+    else:
+        path = tmp_path / "zxz.grp"
+        path.write_text(ZXZ_R4)
+        argv = ["ladders", "--group", str(path), "--k", "2", "--scope-pairs", "100", "--verbose"]
+    want = run(capsys, argv)
+    assert want[0] == 0 and f"pairs={argv[-2]} " in want[1] and "exhausted=true" in want[1]
+
+    def no_dag(self, source, count_cap=None):
+        raise AssertionError(f"BFS DAG of vertex {source}")
+
+    monkeypatch.setattr(Graph, "dag", no_dag)
+    assert run(capsys, argv) == want
 
 
 @pytest.mark.parametrize("width", ["0", "-1"])

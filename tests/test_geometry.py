@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -694,3 +698,52 @@ def test_bigon_and_triangle_scans_do_not_validate_sides(monkeypatch):
     for name in ("validate_path", "classify_bigon", "classify_triangle"):
         monkeypatch.setattr(geometry, name, refuse)
     assert [(enumerate_bigons(host), enumerate_triangles(host)) for host in hosts] == want
+
+
+SKIP_BALLS = [
+    lambda r: cayley_ball(*zoo.free_group(2), r),
+    lambda r: cayley_ball(*zoo.z_cross_z2(), r),
+    _zxz_ball,
+    lambda r: cayley_ball(*zoo.plain_group(0, (2, 3)), r),
+    lambda r: cayley_ball(*zoo.cyclic_odd_powers(3), r),
+    lambda r: cayley_ball(*zoo.cyclic_with_step(7), r),
+    lambda r: cayley_ball(*zoo.cyclic_with_step(12, 5), r),
+]
+
+
+@given(
+    st.integers(0, len(SKIP_BALLS) - 1),
+    st.integers(0, 6),
+    st.sampled_from([0, 1, 5, None]),
+)
+@settings(max_examples=60, deadline=None)
+def test_skipped_matches_full_scan_oracle(group, radius, max_pairs):
+    """skipped is every untrusted pair of the ball, however soon the scan stops,
+    on complete balls (0) and incomplete ones alike."""
+    ball = SKIP_BALLS[group](radius)
+    scope = SearchScope(max_pairs=max_pairs)
+    cov = Coverage()
+    naive_scoped_pairs(ball, scope, cov)
+    assert enumerate_bigons(ball, scope).skipped == cov.skipped
+    assert find_ladders(ball, 1, 1, scope).skipped == cov.skipped
+    if ball.complete:
+        assert cov.skipped == 0
+
+
+def test_reimports_leave_one_live_copy_of_each_class():
+    """Module-level typing subscripts of package classes would pin every
+    re-imported copy of the package through typing's cache."""
+    code = (
+        "import gc, importlib, sys\n"
+        "for _ in range(5):\n"
+        "    for name in [m for m in sys.modules if m.split('.')[0] == 'geodetic']:\n"
+        "        del sys.modules[name]\n"
+        "    for name in ('cli', 'graphs', 'groups', 'geometry', 'lang', 'words', 'zoo'):\n"
+        "        importlib.import_module('geodetic.' + name)\n"
+        "gc.collect()\n"
+        "print(sum(isinstance(o, type) and o.__name__ == 'CayleyBall' for o in gc.get_objects()))\n"
+    )
+    src = str(Path(geometry.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "1\n", "")

@@ -17,9 +17,13 @@ from geodetic import (
     min_geodetic_k,
     parse_graph,
 )
+from geodetic import graphs
+from geodetic.graphs import UNREACHED, bfs_dag
 from geodetic.zoo import (
     complete_bipartite,
     cycle_graph,
+    free_group,
+    grid_graph,
     infinite_cyclic,
     path_graph,
     petersen_graph,
@@ -55,6 +59,52 @@ def test_count_and_enumerate_match_dfs_oracle(g):
             paths, truncated = enumerate_geodesics(g, u, v)
             assert not truncated
             assert {p.vertices for p in paths} == set(walks)
+
+
+@st.composite
+def any_graphs(draw, max_n=7):
+    """A small graph with random edges, connected or not."""
+    n = draw(st.integers(1, max_n))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = {(min(u, v), max(u, v)) for u, v in draw(st.sets(pair, max_size=14)) if u != v}
+    return build_graph(sorted(edges), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_graphs(), st.sampled_from([None, 1, 2, 3]))
+def test_layered_bfs_matches_dfs_oracle(g, count_cap):
+    for s in range(g.vertex_count):
+        dag = bfs_dag(g, s, count_cap)
+        for v in range(g.vertex_count):
+            dist, walks = dfs_shortest_paths(g, s, v)
+            count = len(walks) if count_cap is None else min(len(walks), count_cap)
+            assert (dag.dist[v], dag.counts[v]) == (UNREACHED if dist is None else dist, count)
+
+
+def test_all_pairs_counts_cache_no_dag():
+    g = parse_graph(format_graph(grid_graph(4, 5)))
+    assert min_geodetic_k(g) == (35, (0, 19))
+    assert is_k_geodetic(g, 34) == (False, (0, 19))
+    assert set(g._dag_cache) <= {0}
+
+
+def test_all_pairs_counts_run_bfs_only_from_sources_with_a_trusted_partner(monkeypatch):
+    ball = cayley_ball(*free_group(2), 5)
+    n, trusted = ball.vertex_count, ball.is_trusted_pair
+    want = {u for u in range(n) if any(trusted(u, v) for v in range(u + 1, n))}
+    sources = []
+    original = graphs.bfs_dag
+
+    def recording(g, source, count_cap=None):
+        sources.append(source)
+        return original(g, source, count_cap)
+
+    monkeypatch.setattr(graphs, "bfs_dag", recording)
+    assert min_geodetic_k(ball.graph, trusted) == (1, (0, 1))
+    assert is_k_geodetic(ball.graph, 1, trusted) == (True, None)
+    # Vertex 0 runs once more, for the connectivity check.
+    assert set(sources) == want and len(sources) == 2 * len(want) + 1
+    assert len(want) == 17
 
 
 def test_enumerate_respects_limit():
