@@ -24,12 +24,7 @@ from .geometry import (
     ladder_report_line,
     triangle_report_line,
 )
-from .graphs import (
-    SaturationError,
-    graph_to_dot,
-    min_geodetic_k,
-    parse_graph,
-)
+from .graphs import graph_to_dot, min_geodetic_k, parse_graph
 from .groups import (
     BallBudgetError,
     CayleyBall,
@@ -392,7 +387,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, BallBudgetError, SaturationError) as exc:
+    except (ValueError, OSError, BallBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,9 +14,10 @@ The ladder pairing compares the geodesics of a length bucket on bit masks:
 one AND decides asynchronous disjointness and one popcount gives a_m, from
 a BFS of depth m per vertex, so find_ladders reads no distance row.  A full
 PairStats reads the distance rows of its first walk's vertices, each row at
-most once per pair_stats or iter_disjoint_pairs call.  The bigon and
-triangle scans classify their enumerated geodesics without validating them
-again, and the triangle scan enumerates each ordered side once per scan.
+most once per pair_stats or iter_disjoint_pairs call, and fellow_travel_bound
+does the same.  The bigon and triangle scans classify their enumerated
+geodesics without validating them again, and the triangle scan enumerates
+each ordered side once per scan, running one BFS per vertex it reads.
 """
 
 from __future__ import annotations
@@ -68,11 +69,7 @@ def fellow_travel_bound(g: Graph, p1: PathSeq, p2: PathSeq) -> int:
     validate_path(g, p1)
     validate_path(g, p2)
     n = max(p1.length, p2.length)
-    q1, q2 = pad(p1, n), pad(p2, n)
-    best = 0
-    for a, b in zip(q1.vertices, q2.vertices):
-        best = max(best, g.dist(a, b))
-    return best
+    return max(_distances(_Rows(g), pad(p1, n).vertices, pad(p2, n).vertices))
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,11 @@ class PairStats:
 
 
 class _Rows(dict):
-    """The distance row of each vertex of g, read from its BFS DAG at first use."""
+    """The distance row of each vertex of g, from one BFS at its first use.
+
+    One _Rows lives for one call, so a row read again costs no second BFS
+    and none outlives the call.
+    """
 
     def __init__(self, g: Graph):
         self.g = g
@@ -99,17 +100,23 @@ class _Rows(dict):
         return row
 
 
-def _stats(rows: _Rows, v1: tuple, v2: tuple, m: int, disjoint: bool) -> PairStats:
-    """PairStats of equal-length walks whose disjointness is known; raises
-    UnreachablePairError at the first index whose vertices share no component.
-
-    The walks share an indexed edge exactly when two consecutive distances
-    are 0, and disjoint walks can share a directed edge only at one index.
-    """
+def _distances(rows: _Rows, v1: tuple, v2: tuple) -> tuple[int, ...]:
+    """d(v1[i], v2[i]) for each index i, from the rows of v1's vertices; raises
+    UnreachablePairError at the first index whose vertices share no component."""
     distances = tuple(map(list.__getitem__, map(rows.__getitem__, v1), v2))
     if UNREACHED in distances:
         i = distances.index(UNREACHED)
         raise UnreachablePairError(f"no path between vertices {v1[i]} and {v2[i]}")
+    return distances
+
+
+def _stats(rows: _Rows, v1: tuple, v2: tuple, m: int, disjoint: bool) -> PairStats:
+    """PairStats of equal-length walks whose disjointness is known (see _distances).
+
+    The walks share an indexed edge exactly when two consecutive distances
+    are 0, and disjoint walks can share a directed edge only at one index.
+    """
+    distances = _distances(rows, v1, v2)
     sync = 0 in distances and (0, 0) in zip(distances, distances[1:])
     co = sync if disjoint else not set(zip(v1, v1[1:])).isdisjoint(zip(v2, v2[1:]))
     c_m = sum(1 for d in distances if 1 <= d <= m)
@@ -532,11 +539,13 @@ def classify_triangle(g: Graph, alpha: PathSeq, beta: PathSeq, gamma: PathSeq) -
     return GeodesicTriangle(alpha, beta, gamma, degenerate)
 
 
-def _corner_triples(g: Graph, pair_filter, cov: Coverage) -> Iterator[tuple[int, int, int]]:
+def _corner_triples(
+    g: Graph, rows: _Rows, pair_filter, cov: Coverage
+) -> Iterator[tuple[int, int, int]]:
     """Corner triples x <= y <= z of one component in (x, y, z) order;
     triples with a side the filter rejects count in cov.skipped."""
     for x in range(g.vertex_count):
-        dx = g.dag(x).dist
+        dx = rows[x]
         reach = [v for v in range(x, g.vertex_count) if dx[v] != UNREACHED]
         for y, z in combinations_with_replacement(reach, 2):
             if pair_filter is None or (
@@ -554,25 +563,28 @@ def enumerate_triangles(host: Graph | CayleyBall, scope: Optional[SearchScope] =
     skipped counts the untrusted triples passed over before the scan stopped.
     max_geodesic_pairs bounds only the ladder pairing, so
     geodesic_pairs_scanned stays 0.  Each ordered side (a, b) is enumerated
-    once per scan, and its geodesics are kept with their index-1.. tail sets.
+    once per scan, off the distance row of b, and its geodesics are kept with
+    their index-1.. tail sets; each vertex's row is one BFS per scan.
     """
     scope = scope or SearchScope()
     g, pair_filter = _graph_and_filter(host)
     cov = Coverage()
+    rows, limit = _Rows(g), scope.max_geodesics
     sides: dict[tuple[int, int], list] = {}
 
     def side(a: int, b: int) -> list[tuple[PathSeq, frozenset, bool]]:
         """(geodesic, tail, zero length) of each geodesic a -> b, enumerated at the first call."""
-        rows = sides.get((a, b))
-        if rows is None:
-            geos, truncated = enumerate_geodesics(g, a, b, limit=scope.max_geodesics)
+        got = sides.get((a, b))
+        if got is None:
+            to_b = rows[b]
+            geos, truncated = geodesic_walks(g.adj, a, b, to_b[a], to_b.__getitem__, limit)
             # exhausted only ever turns on, so a side met again need not mark it.
             cov.exhausted |= truncated
-            rows = [(p, frozenset(p.vertices[1:]), len(p.vertices) == 1) for p in geos]
-            sides[a, b] = rows
-        return rows
+            got = [(p, frozenset(p.vertices[1:]), len(p.vertices) == 1) for p in geos]
+            sides[a, b] = got
+        return got
 
-    for x, y, z in _capped(_corner_triples(g, pair_filter, cov), scope.max_pairs, cov):
+    for x, y, z in _capped(_corner_triples(g, rows, pair_filter, cov), scope.max_pairs, cov):
         cov.pairs_scanned += 1
         alphas, betas, gammas = side(x, y), side(y, z), side(z, x)
         for a, ta, za in alphas:

@@ -1,8 +1,8 @@
 """Finite simple graphs: layered BFS DAGs, geodesic counting, k-geodeticity.
 
-Vertices are dense integer ids 0..n-1.  Counting is exact (Python integers)
-unless a saturation cap is requested, in which case per-pair counts stop
-growing at the cap; a saturated value means "at least this many".
+Vertices are dense integer ids 0..n-1.  Counting is exact (Python integers),
+and a Graph keeps its adjacency alone: every BFS is run for the call that
+asks for it and dropped with it.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ class UnreachablePairError(ValueError):
 
 class GraphFormatError(ValueError):
     """Malformed graph description, textual or structural."""
-
-
-class SaturationError(RuntimeError):
-    """A saturating count hit its cap, so the exact value is unknown."""
 
 
 @dataclass(frozen=True)
@@ -64,23 +60,22 @@ class GeodesicDag:
     """Shortest-path data from a single BFS source.
 
     dist[v] is UNREACHED for vertices in other components, and counts[v] is
-    the number of geodesics source -> v (saturating at count_cap when set).
-    The geodesic predecessors of v are the neighbours u with
+    the number of geodesics source -> v, clipped at bfs_dag's count_cap when
+    one is given.  The geodesic predecessors of v are the neighbours u with
     dist[u] = dist[v] - 1; they are not stored.
     """
 
     source: int
     dist: list[int]
     counts: list[int]
-    count_cap: Optional[int] = None
 
 
 class Graph:
     """Immutable simple undirected graph, adjacency only.
 
     Adjacency lists are sorted, which fixes the order of every enumeration
-    built on top of them.  One BFS DAG is memoised per source (see dag), so
-    repeated distance queries are cheap; the all-pairs counts bypass it.
+    built on top of them.  No BFS is kept: a caller that reads one distance
+    row more than once memoises it for the length of its own call.
     """
 
     def __init__(self, vertex_count: int, adjacency: Sequence[Iterable[int]]):
@@ -104,8 +99,6 @@ class Graph:
                     raise GraphFormatError(f"edge {u}-{v} is not symmetric")
         self.vertex_count = vertex_count
         self.adj: tuple[tuple[int, ...], ...] = tuple(adj)
-        self._dag_cache: dict[int, GeodesicDag] = {}
-        self._connected: Optional[bool] = None
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self.adj[u]
@@ -125,25 +118,11 @@ class Graph:
                     yield (u, v)
 
     def is_connected(self) -> bool:
-        if self._connected is None:
-            if self.vertex_count == 0:
-                self._connected = True
-            else:
-                d = self.dag(0)
-                self._connected = all(x != UNREACHED for x in d.dist)
-        return self._connected
+        return self.vertex_count == 0 or UNREACHED not in self.dag(0).dist
 
     def dag(self, source: int, count_cap: Optional[int] = None) -> GeodesicDag:
-        """The BFS DAG from source with counts saturating at count_cap.
-
-        The cache holds one DAG per source.  A request with a different
-        count_cap than the cached entry rebuilds it and replaces it.
-        """
-        got = self._dag_cache.get(source)
-        if got is None or got.count_cap != count_cap:
-            got = bfs_dag(self, source, count_cap=count_cap)
-            self._dag_cache[source] = got
-        return got
+        """A fresh BFS DAG from source, as bfs_dag returns it."""
+        return bfs_dag(self, source, count_cap)
 
     def dist(self, u: int, v: int) -> int:
         """BFS distance between u and v."""
@@ -199,14 +178,14 @@ def bfs_dag(g: Graph, source: int, count_cap: Optional[int] = None) -> GeodesicD
             for v in nxt:
                 counts[v] = min(counts[v], count_cap)
         layer = nxt
-    return GeodesicDag(source, dist, counts, count_cap)
+    return GeodesicDag(source, dist, counts)
 
 
-def count_geodesics(g: Graph, u: int, v: int, count_cap: Optional[int] = None) -> int:
+def count_geodesics(g: Graph, u: int, v: int) -> int:
     """Number of geodesics u -> v; 1 when u = v (the empty path)."""
     g.check_vertex(u)
     g.check_vertex(v)
-    dag = g.dag(u, count_cap)
+    dag = g.dag(u)
     if dag.dist[v] == UNREACHED:
         raise UnreachablePairError(f"vertices {u} and {v} are in different components")
     return dag.counts[v]
@@ -230,15 +209,15 @@ def enumerate_geodesics(
     total = dv[u]
     if total == UNREACHED:
         raise UnreachablePairError(f"vertices {u} and {v} are in different components")
-    if u == v:
-        # The single-vertex geodesic counts against the limit like any other.
-        return ([], True) if limit == 0 else ([PathSeq((u,))], False)
     return geodesic_walks(g.adj, u, v, total, dv.__getitem__, limit)
 
 
 def geodesic_walks(adj, u: int, v: int, total: int, dist_to_v, limit: Optional[int]):
-    """The geodesics u -> v of length total >= 1, as enumerate_geodesics returns them;
+    """The geodesics u -> v of length total = d(u, v), as enumerate_geodesics returns them;
     dist_to_v(x) must be exact where d(x, v) < total and no number below total elsewhere."""
+    if u == v:
+        # The single-vertex geodesic counts against the limit like any other.
+        return ([], True) if limit == 0 else ([PathSeq((u,))], False)
     # A walk from u is a geodesic to v exactly when every step lowers the
     # distance to v by one.  stack[i] holds the unexplored neighbours of path[i].
     out: list[PathSeq] = []
@@ -266,14 +245,13 @@ def geodesic_walks(adj, u: int, v: int, total: int, dist_to_v, limit: Optional[i
 def _pair_counts(
     g: Graph,
     pair_filter: Optional[Callable[[int, int], bool]],
-    count_cap: Optional[int],
     k: Optional[int] = None,
 ) -> Iterator[tuple[int, int, int, int]]:
     """One (dist, u, v, count) row per source u: its first admitted pair u < v
     in (dist, v) order with the largest count, or with k given, with a count
     above k, so min_k_of_rows and k_geodetic_of_rows pick from these rows the
     pair they would pick from all.  Each source with an admitted partner
-    runs one transient bfs_dag, and no DAG is cached.  For a single-vertex
+    runs one bfs_dag, dropped before the next.  For a single-vertex
     graph the lone pair (0, 0) is admitted so that the scan is never empty.
     """
     if g.vertex_count == 0:
@@ -287,7 +265,7 @@ def _pair_counts(
     for u in range(g.vertex_count):
         vs = [v for v in range(u + 1, g.vertex_count) if pair_filter is None or pair_filter(u, v)]
         if vs:
-            dag = bfs_dag(g, u, count_cap)
+            dag = bfs_dag(g, u)
             top = max(map(dag.counts.__getitem__, vs)) if k is None else k + 1
             best = [(dag.dist[v], v) for v in vs if dag.counts[v] >= top]
             if best:
@@ -295,21 +273,15 @@ def _pair_counts(
                 yield (d, u, v, dag.counts[v])
 
 
-def min_k_of_rows(
-    rows: Iterable[tuple[int, int, int, int]], count_cap: Optional[int] = None
-) -> tuple[int, tuple[int, int]]:
+def min_k_of_rows(rows: Iterable[tuple[int, int, int, int]]) -> tuple[int, tuple[int, int]]:
     """Largest count among (dist, u, v, count) rows, with its pair.
 
-    Ties go to the first row in (dist, u, v) order.  A count at count_cap
-    is saturated, so the true maximum is unknown and SaturationError is
-    raised.
+    Ties go to the first row in (dist, u, v) order.
     """
     best = min(rows, key=lambda r: (-r[3], r[0], r[1], r[2]), default=None)
     if best is None:
         raise ValueError("no admitted vertex pairs")
     _, u, v, k = best
-    if count_cap is not None and k >= count_cap:
-        raise SaturationError(f"min geodetic k is at least {count_cap}")
     return k, (u, v)
 
 
@@ -329,9 +301,7 @@ def k_geodetic_of_rows(
 
 
 def min_geodetic_k(
-    g: Graph,
-    pair_filter: Optional[Callable[[int, int], bool]] = None,
-    count_cap: Optional[int] = None,
+    g: Graph, pair_filter: Optional[Callable[[int, int], bool]] = None
 ) -> tuple[int, tuple[int, int]]:
     """Smallest k for which g is k-geodetic, with a witness pair.
 
@@ -342,10 +312,10 @@ def min_geodetic_k(
     This is the all-pairs path: one transient BFS per source with an
     admitted partner, so memory stays O(n) beyond the graph.  On a
     Cayley ball, CayleyBall.min_geodetic_k gets the same answer from the
-    identity BFS alone; this function, called with ball.is_trusted_pair as
-    the filter, is its oracle.
+    identity's geodesic counts alone; this function, called with
+    ball.is_trusted_pair as the filter, is its oracle.
     """
-    return min_k_of_rows(_pair_counts(g, pair_filter, count_cap), count_cap)
+    return min_k_of_rows(_pair_counts(g, pair_filter))
 
 
 def is_k_geodetic(
@@ -359,7 +329,7 @@ def is_k_geodetic(
     CayleyBall.is_k_geodetic is the one-BFS path and this function its
     oracle.
     """
-    return k_geodetic_of_rows(_pair_counts(g, pair_filter, None, k), k)
+    return k_geodetic_of_rows(_pair_counts(g, pair_filter, k), k)
 
 
 def is_complete_bipartite(g: Graph) -> Optional[tuple[int, int]]:

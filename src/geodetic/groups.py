@@ -505,13 +505,14 @@ class CayleyBall:
     between such a pair stays inside the ball); complete balls, where the
     whole group was reached, are exact everywhere.  The graph is built from
     steps on its first read, so code that reads only elements, norms and
-    steps (the language commands, edge_count) never builds it.
+    steps (the language commands, edge_count, min_geodetic_k and
+    is_k_geodetic) never builds it.
 
     min_geodetic_k and is_k_geodetic are the fast path for geodesic counts
-    over trusted pairs: they read the identity BFS alone.  The all-pairs
-    functions of the same names in graphs, called on ball.graph with
-    ball.is_trusted_pair as the filter, give the same answers and are
-    their oracle.
+    over trusted pairs: they count the geodesics from the identity alone,
+    over steps.  The all-pairs functions of the same names in graphs,
+    called on ball.graph with ball.is_trusted_pair as the filter, give the
+    same answers and are their oracle.
     """
 
     spec: GroupSpec
@@ -570,18 +571,27 @@ class CayleyBall:
         with its distance and count, and u = 0 is the least u: the first
         row in (dist, 0, w) order with a given count is the first such pair
         in (dist, u, v) order.
+
+        The identity BFS is read off norms and steps, with no Graph: the
+        vertices come in BFS order, and counts[u] passes to each u·s one
+        norm further out (the generators are distinct, so each edge once).
         """
-        n = self.vertex_count
+        n, norms = self.vertex_count, self.norms
         if n == 1:
             return [(0, 0, 0, 1)]
-        dag = self.graph.dag(0)
-        return ((dag.dist[w], 0, w, dag.counts[w]) for w in range(1, n))
+        counts = [1] + [0] * (n - 1)
+        for u, column in enumerate(zip(*self.steps)):
+            c, up = counts[u], norms[u] + 1
+            for v in column:
+                if v >= 0 and norms[v] == up:
+                    counts[v] += c
+        return ((norms[w], 0, w, counts[w]) for w in range(1, n))
 
     def min_geodetic_k(self) -> tuple[int, tuple[int, int]]:
         """Smallest k with at most k geodesics per trusted pair, with a witness.
 
         The same value and witness as graphs.min_geodetic_k(ball.graph,
-        ball.is_trusted_pair), from one BFS at the identity.
+        ball.is_trusted_pair), from the geodesic counts at the identity.
         """
         return min_k_of_rows(self._identity_rows())
 
@@ -589,7 +599,7 @@ class CayleyBall:
         """Whether every trusted pair has at most k geodesics, else the first violator.
 
         The same verdict and pair as graphs.is_k_geodetic(ball.graph, k,
-        ball.is_trusted_pair), from one BFS at the identity.
+        ball.is_trusted_pair), from the geodesic counts at the identity.
         """
         return k_geodetic_of_rows(self._identity_rows(), k)
 

@@ -188,7 +188,11 @@ def test_min_k_and_check_k_on_a_ball_read_only_the_identity_bfs(
             raise AssertionError(f"BFS from vertex {source}")
         return original(self, source, count_cap)
 
+    def no_graph(self, *args):
+        raise AssertionError("Graph built")
+
     monkeypatch.setattr(Graph, "dag", identity_only)
+    monkeypatch.setattr(Graph, "__init__", no_graph)
     assert run(capsys, ["min-k", "--group", str(path), "--verbose"]) == (0, expected, "")
     min_k_line, witness_line = expected.splitlines()
     k = int(min_k_line.split()[-1])

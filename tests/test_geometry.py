@@ -96,6 +96,26 @@ def test_fellow_travel_bound():
     assert fellow_travel_bound(g, p1, p1) == 0
 
 
+def test_fellow_travel_bound_reads_each_row_once(monkeypatch):
+    """One call requests the distance row of each distinct vertex of the
+    padded first path once, so the padded endpoint runs one BFS, not one per
+    padded index."""
+    requests = []
+    original = Graph.dag
+
+    def recording(self, source, count_cap=None):
+        requests.append(source)
+        return original(self, source, count_cap)
+
+    monkeypatch.setattr(Graph, "dag", recording)
+    g = grid_graph(4, 5)
+    short, long = PathSeq((0, 1)), PathSeq((10, 11, 12, 13, 14, 9))
+    for p1, p2 in ((short, long), (long, short)):
+        requests.clear()
+        assert fellow_travel_bound(g, p1, p2) == 5  # d(1, 14)
+        assert requests == list(dict.fromkeys(pad(p1, 5).vertices))
+
+
 def test_pair_stats_basics():
     g = cycle_graph(4)
     arc1 = PathSeq((0, 1, 2))
@@ -675,12 +695,13 @@ def _zxz_ball(radius):
 def test_triangle_scan_enumerates_each_side_once(monkeypatch, host):
     want = [naive_triangles(host, scope) for scope in SCAN_SCOPES]
     calls = []
+    original = geometry.geodesic_walks
 
-    def counting(g, u, v, limit=None):
+    def counting(adj, u, v, total, dist_to_v, limit):
         calls.append((u, v))
-        return enumerate_geodesics(g, u, v, limit)
+        return original(adj, u, v, total, dist_to_v, limit)
 
-    monkeypatch.setattr(geometry, "enumerate_geodesics", counting)
+    monkeypatch.setattr(geometry, "geodesic_walks", counting)
     for scope, cov in zip(SCAN_SCOPES, want):
         calls.clear()
         assert enumerate_triangles(host, scope) == cov

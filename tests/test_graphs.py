@@ -4,18 +4,25 @@ from hypothesis import example, given, settings, strategies as st
 from geodetic import (
     GraphFormatError,
     PathSeq,
-    SaturationError,
+    SearchScope,
     UnreachablePairError,
     build_graph,
     cayley_ball,
     count_geodesics,
+    enumerate_bigons,
     enumerate_geodesics,
+    enumerate_triangles,
+    fellow_travel_bound,
+    find_ladders,
     format_graph,
     graph_to_dot,
     is_complete_bipartite,
     is_k_geodetic,
+    iter_disjoint_pairs,
     min_geodetic_k,
+    pair_stats,
     parse_graph,
+    shorten_paths,
 )
 from geodetic import graphs
 from geodetic.graphs import UNREACHED, bfs_dag
@@ -81,11 +88,32 @@ def test_layered_bfs_matches_dfs_oracle(g, count_cap):
             assert (dag.dist[v], dag.counts[v]) == (UNREACHED if dist is None else dist, count)
 
 
+def test_graph_keeps_no_state():
+    """Counts, distances, pair statistics and scans leave the graph as they
+    found it: adjacency only, every BFS dropped with its call."""
+    g = parse_graph(format_graph(grid_graph(4, 5)))
+    assert min_geodetic_k(g) == (35, (0, 19))
+    assert is_k_geodetic(g, 34) == (False, (0, 19))
+    assert count_geodesics(g, 0, 7) == 3
+    assert len(enumerate_geodesics(g, 0, 7)[0]) == 3
+    assert g.dist(0, 19) == 7
+    assert pair_stats(g, PathSeq((0, 1, 2)), PathSeq((5, 6, 7)), 1).a_m == 3
+    assert fellow_travel_bound(g, PathSeq((0, 1, 2)), PathSeq((5, 6))) == 2
+    assert list(iter_disjoint_pairs(g, 1, SearchScope(max_pairs=20)))
+    walks = [PathSeq((0, 1, 0, 1, 2)), PathSeq((0, 5, 0, 1, 2))]
+    assert shorten_paths(g, walks, 1) == PathSeq((0, 1, 2))
+    assert is_complete_bipartite(g) is None
+    assert find_ladders(g, 1, 35).found
+    assert enumerate_bigons(g).found
+    assert enumerate_triangles(g).found
+    assert vars(g).keys() == {"vertex_count", "adj"}
+
+
 def test_all_pairs_counts_cache_no_dag():
     g = parse_graph(format_graph(grid_graph(4, 5)))
     assert min_geodetic_k(g) == (35, (0, 19))
     assert is_k_geodetic(g, 34) == (False, (0, 19))
-    assert set(g._dag_cache) <= {0}
+    assert vars(g).keys() == {"vertex_count", "adj"}
 
 
 def test_all_pairs_counts_run_bfs_only_from_sources_with_a_trusted_partner(monkeypatch):
@@ -102,8 +130,8 @@ def test_all_pairs_counts_run_bfs_only_from_sources_with_a_trusted_partner(monke
     monkeypatch.setattr(graphs, "bfs_dag", recording)
     assert min_geodetic_k(ball.graph, trusted) == (1, (0, 1))
     assert is_k_geodetic(ball.graph, 1, trusted) == (True, None)
-    # Vertex 0 runs once more, for the connectivity check.
-    assert set(sources) == want and len(sources) == 2 * len(want) + 1
+    # Vertex 0 runs once more per call, for the connectivity check.
+    assert set(sources) == want and len(sources) == 2 * len(want) + 2
     assert len(want) == 17
 
 
@@ -127,30 +155,25 @@ def test_enumerate_long_geodesic_without_recursion():
     assert paths[0].start == u and paths[0].end == v
 
 
-def test_count_saturates_at_cap():
-    g = cycle_graph(4)
-    assert count_geodesics(g, 0, 2) == 2
-    assert count_geodesics(g, 0, 2, count_cap=1) == 1
-    assert count_geodesics(g, 0, 2) == 2
-
-
 def test_dag_cache_keeps_one_entry_per_source():
+    """No per-source entry is kept at all: each Graph.dag call is a fresh BFS."""
     g = cayley_ball(*z_cross_z2(), 4).graph
     min_geodetic_k(g)
     is_k_geodetic(g, 1)
-    assert len(g._dag_cache) <= g.vertex_count
-    assert set(g._dag_cache) <= set(range(g.vertex_count))
+    assert vars(g).keys() == {"vertex_count", "adj"}
+    first, again = g.dag(0), g.dag(0)
+    assert first is not again and first == again == bfs_dag(g, 0)
 
 
 def test_is_k_geodetic_reuses_exact_dags():
+    """is_k_geodetic agrees with min_geodetic_k from exact counts alone."""
     ball = cayley_ball(*z_cross_z2(), 4)
     g = ball.graph
     k, _ = min_geodetic_k(g, ball.is_trusted_pair)
-    before = dict(g._dag_cache)
     assert is_k_geodetic(g, k, ball.is_trusted_pair) == (True, None)
     assert is_k_geodetic(g, k - 1, ball.is_trusted_pair)[0] is False
-    assert g._dag_cache.keys() == before.keys()
-    assert all(g._dag_cache[s] is dag for s, dag in before.items())
+    assert min_geodetic_k(g, ball.is_trusted_pair)[0] == k
+    assert vars(g).keys() == {"vertex_count", "adj"}
 
 
 @given(st.integers(2, 50), st.integers(0, 10**6))
@@ -180,25 +203,18 @@ def test_known_min_k_values():
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    connected_graphs(),
-    st.sampled_from([None, 2, 3]),
-    st.sampled_from([None, 1, 2, 3]),
-)
+@given(connected_graphs(), st.sampled_from([None, 2, 3]))
 # A pendant 0 on a 4-cycle: the first violator in (u, v) order, (0, 3), is
 # farther apart than the first in (distance, u, v) order, (1, 3).
-@example(build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)], 5), None, None)
-def test_witness_and_violator_match_sorted_scan_oracle(g, modulus, count_cap):
+@example(build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)], 5), None)
+def test_witness_and_violator_match_sorted_scan_oracle(g, modulus):
     pair_filter = None if modulus is None else (lambda u, v: (u + 2 * v) % modulus != 0)
-    best = first_maximiser(sorted_pair_counts(g, pair_filter, count_cap))
+    best = first_maximiser(sorted_pair_counts(g, pair_filter))
     if best is None:
         with pytest.raises(ValueError):
-            min_geodetic_k(g, pair_filter, count_cap)
-    elif count_cap is not None and best[0] >= count_cap:
-        with pytest.raises(SaturationError):
-            min_geodetic_k(g, pair_filter, count_cap)
+            min_geodetic_k(g, pair_filter)
     else:
-        assert min_geodetic_k(g, pair_filter, count_cap) == best
+        assert min_geodetic_k(g, pair_filter) == best
     for k in (1, 2, 3):
         violator = first_violator(sorted_pair_counts(g, pair_filter, k + 1), k)
         assert is_k_geodetic(g, k, pair_filter) == (violator is None, violator)
@@ -219,12 +235,6 @@ def test_is_k_geodetic():
     assert g.dist(u, v) == 2
     with pytest.raises(ValueError):
         is_k_geodetic(g, 0)
-
-
-def test_min_k_saturation_cap():
-    with pytest.raises(SaturationError):
-        min_geodetic_k(cycle_graph(4), count_cap=2)
-    assert min_geodetic_k(cycle_graph(4), count_cap=3)[0] == 2
 
 
 def test_disconnected_rejected():
