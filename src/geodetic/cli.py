@@ -118,10 +118,10 @@ def _dot(host) -> str:
     """DOT text of a graph, or of a ball with element and generator labels."""
     if isinstance(host, CayleyBall):
         labels = [host.spec.format_element(x) for x in host.elements]
-        # Edge u - v gets the first generator, in genset order, that takes u
-        # to v, read off steps; a (u, v) dict would hold one entry per edge.
+        # The edges and their labels are read off steps, with no graph: edge
+        # u - v gets the generator that takes u to v.
         moves = list(zip(host.genset.labels, host.steps))
-        return graph_to_dot(host.graph, vertex_labels=labels,
+        return graph_to_dot(host, vertex_labels=labels,
                             edge_label=lambda u, v: next(s for s, row in moves if row[u] == v))
     return graph_to_dot(host)
 

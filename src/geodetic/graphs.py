@@ -414,7 +414,7 @@ def graph_to_dot(
     vertex_labels: Optional[Sequence[str]] = None,
     edge_label: Optional[Callable[[int, int], str]] = None,
 ) -> str:
-    """DOT serialization.
+    """DOT serialization of g, or of anything with its vertex_count and edges().
 
     The caller supplies the display labels, if any: vertex_labels[u] for
     each vertex, and edge_label(u, v) for each edge with u < v.

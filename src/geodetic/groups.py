@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .graphs import Graph, k_geodetic_of_rows, min_k_of_rows
 from .words import Alphabet, Word
@@ -347,9 +347,20 @@ class PlainSpec(GroupSpec):
 
         Each syllable of b merges into the last one of the result when both
         come from one factor, and a syllable that reduces to exponent 0
-        drops out, which may expose another syllable to merge with.
+        drops out, which may expose another syllable to merge with.  A
+        one-syllable b, as every generator of a plain group file, takes a
+        tuple path with no list.
         """
         orders = self._orders
+        if len(b) == 1:
+            ((factor, e),) = b
+            if a and a[-1][0] == factor:
+                e += a[-1][1]
+                a = a[:-1]
+            o = orders[factor]
+            if o:
+                e %= o
+            return a + ((factor, e),) if e else a
         out = list(a)
         for factor, e in b:
             if out and out[-1][0] == factor:
@@ -499,13 +510,15 @@ class CayleyBall:
     and norms[v] its distance from the identity.  steps records the
     generator action: steps[i][u] is the vertex of elements[u]·s_i for the
     i-th generator s_i of genset, or -1 when that product lies outside the
-    ball, which happens only when norms[u] == radius.  The graph is the
-    subgraph induced on the ball, so distances between two vertices u, v
-    are exact whenever norms[u] + norms[v] <= radius (every group geodesic
-    between such a pair stays inside the ball); complete balls, where the
-    whole group was reached, are exact everywhere.  The graph is built from
+    ball, which happens only when norms[u] == radius.  steps[i][u] = v
+    goes with steps[j][v] = u for the inverse s_j of s_i, and cayley_ball
+    fills both from one product.  The graph is the subgraph induced on the
+    ball, so distances between two vertices u, v are exact whenever
+    norms[u] + norms[v] <= radius (every group geodesic between such a pair
+    stays inside the ball); complete balls, where the whole group was
+    reached, are exact everywhere.  The graph is built from
     steps on its first read, so code that reads only elements, norms and
-    steps (the language commands, edge_count, min_geodetic_k and
+    steps (the language commands, edges, edge_count, min_geodetic_k and
     is_k_geodetic) never builds it.
 
     min_geodetic_k and is_k_geodetic are the fast path for geodesic counts
@@ -548,6 +561,11 @@ class CayleyBall:
         s⁻¹ (under s again when s is an involution).
         """
         return sum(len(row) - row.count(-1) for row in self.steps) // 2
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Edges (u, v) with u < v in sorted order, as Graph.edges lists them."""
+        for u, column in enumerate(zip(*self.steps)):
+            yield from ((u, v) for v in sorted(column) if v > u)
 
     def vertex_of(self, g: Element) -> int:
         v = self.index.get(g)
@@ -615,8 +633,9 @@ def cayley_ball(
 ) -> CayleyBall:
     """Breadth-first closure of the identity under the generating set.
 
-    Each vertex is multiplied by each generator exactly once, and the
-    products are recorded in CayleyBall.steps.  budget caps the number of
+    Each edge costs one multiply: u·s = v also records v·s⁻¹ = u in
+    CayleyBall.steps, and a step filled that way is never multiplied.  The
+    vertices come in the same order either way.  budget caps the number of
     vertices (default 10^6, or the GEODETIC_BALL_BUDGET environment variable,
     which raises ValueError unless it is an integer of at least 1); exceeding
     it raises BallBudgetError before memory runs away.
@@ -635,10 +654,17 @@ def cayley_ball(
     elements: list[Element] = [identity]
     index: dict[Element, int] = {identity: 0}
     norms = [0]
-    steps: list[list[int]] = [[] for _ in genset.elements]
-    for u, gu in enumerate(elements):  # elements grows while it is read
+    steps: list[list[int]] = [[None] for _ in genset.elements]  # None: not yet known
+    row_of = dict(zip(genset.labels, steps))
+    moves = [(row, s, row_of[genset.inverse_label[label]])
+             for (label, s), row in zip(genset.items(), steps)]
+    for gu in elements:  # elements grows while it is read
+        # index's own int, not a counter's: the back steps share it.
+        u = index[gu]
         layer = norms[u] + 1
-        for row, s in zip(steps, genset.elements):
+        for row, s, back in moves:
+            if row[u] is not None:  # filled from the other end of its edge
+                continue
             h = spec.multiply(gu, s)
             v = index.get(h, -1)
             if v < 0 and layer <= radius:
@@ -649,7 +675,11 @@ def cayley_ball(
                 v = index[h] = len(elements)
                 elements.append(h)
                 norms.append(layer)
-            row.append(v)
+                for r in steps:
+                    r.append(None)
+            row[u] = v
+            if v >= 0:
+                back[v] = u
     complete = max(norms) < radius or spec.order() == len(elements)
     return CayleyBall(spec, genset, radius, elements, index, norms, complete, steps)
 

@@ -128,6 +128,23 @@ def test_ball_dot_golden(capsys, tmp_path):
     assert code == 0 and out == ZXZ2_DOT
 
 
+def test_ball_dot_builds_no_graph(capsys, tmp_path, monkeypatch):
+    # The ball's DOT edges come from steps alone.
+    path = tmp_path / "zxz2.grp"
+    path.write_text(ZXZ2_GROUP)
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("Graph built")
+
+    monkeypatch.setattr(Graph, "__init__", no_graph)
+    dot = tmp_path / "ball.dot"
+    code, _, err = run(capsys, ["ball", "--group", str(path), "--dot", str(dot)])
+    assert (code, err) == (0, "")
+    assert dot.read_bytes() == ZXZ2_DOT.encode()
+    code, out, err = run(capsys, ["export-dot", "--group", str(path)])
+    assert (code, out, err) == (0, ZXZ2_DOT, "")
+
+
 @pytest.mark.parametrize("name", ["zxz", "z2z3", "z6odd"])
 def test_ball_dot_labels_match_word_of_path(capsys, tmp_path, name):
     # The edge labels come from one pass over steps; word_of_path is the oracle.
@@ -552,7 +569,7 @@ def test_language_commands_build_no_graph(capsys, tmp_path, monkeypatch):
     assert [run(capsys, argv) for argv in commands] == want
     assert all(code == 0 for code, _, _ in want)
     with pytest.raises(AssertionError, match="a Graph was built"):
-        run(capsys, ["ball", "--group", str(z2z3), "--dot", str(tmp_path / "ball.dot")])
+        run(capsys, ["bigons", "--group", str(z2z3), "--radius", "2"])
 
 
 def test_language_commands_fit_the_budget_at_radius_e(capsys, tmp_path, monkeypatch):

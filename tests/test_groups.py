@@ -391,6 +391,11 @@ def test_completeness_via_empty_layer():
     assert ball2.complete and ball2.vertex_count == 2
 
 
+def file_group(text):
+    gf = parse_group_file(text)
+    return gf.spec, gf.genset
+
+
 BALL_CASES = [
     (free_group(2), 0, None),
     (free_group(2), 1, None),
@@ -409,6 +414,15 @@ BALL_CASES = [
     (cyclic_with_step(7), 3, None),
     (cyclic_with_step(2), 4, None),
     (table_group(5), 3, None),
+    # Two-syllable generators x = ab and X = x^-1 take the general multiply path.
+    (file_group("group plain Z=2\ngen x word a b\ngen X word b^-1 a^-1\n"
+                "gen b word b\ngen B word b^-1\n"), 4, None),
+    # C5 at radius 2: the elements 2 and 3 of the last layer are adjacent.
+    (cyclic_with_step(5), 2, None),
+    # Z x Z at radius 3 has 25 vertices: the budget fits exactly, or the last
+    # vertex raises.
+    (product_group(0, 0), 3, 25),
+    (product_group(0, 0), 3, 24),
 ]
 
 
@@ -431,7 +445,8 @@ def test_cayley_ball_matches_two_pass_oracle(group, radius, budget):
         ball = cayley_ball(spec, gens, radius, budget=budget)
     finally:
         del spec.multiply
-    assert len(calls) == ball.vertex_count * len(gens)
+    # One multiply per edge: u·s = v also fills the step v·s^-1 = u.
+    assert len(calls) == ball.vertex_count * len(gens) - ball.edge_count
     assert ball.elements == elements
     assert ball.norms == norms
     assert ball.complete == complete
@@ -547,7 +562,10 @@ def plain_products(draw):
     )
     a = push_product(spec, (), draw(syllables))
     tail = draw(syllables)
+    # One syllable, as a generator: the tuple path of multiply.
+    factor = a[-1][0] if a and draw(st.booleans()) else draw(st.integers(0, spec.factor_count - 1))
     b = draw(st.sampled_from([
+        ((factor, draw(st.integers(-7, 7))),),
         tail,
         spec.inverse(a),
         tuple(spec.inverse(a)) + tuple(tail),
