@@ -12,17 +12,15 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from typing import Iterator
 
 from .geometry import (
     Coverage,
     SearchScope,
-    bigon_report_line,
     enumerate_bigons,
     enumerate_triangles,
     find_ladders,
     ladder_bound_A,
-    ladder_report_line,
-    triangle_report_line,
 )
 from .graphs import graph_to_dot, min_geodetic_k, parse_graph
 from .groups import (
@@ -137,16 +135,44 @@ def _scope(args) -> SearchScope:
     return SearchScope(max_pairs=args.scope_pairs, max_geodesics=args.scope_geodesics)
 
 
-def _print_found(cov: Coverage, report_line, scanned: bool) -> None:
-    """One line per report, then the coverage line when scanned is set, in one write."""
-    lines = list(map(report_line, cov.found))
+def _print_found(cov: Coverage, chunks, scanned: bool) -> None:
+    """Write the report text chunk by chunk, then the coverage line when scanned is set."""
+    for chunk in chunks:
+        sys.stdout.write(chunk)
     if scanned:
-        lines.append(
+        print(
             f"scanned: pairs={cov.pairs_scanned} geodesic_pairs={cov.geodesic_pairs_scanned} "
             f"skipped={cov.skipped} exhausted={'true' if cov.exhausted else 'false'}"
         )
-    lines.append("")  # ends the last line; an empty report writes nothing
-    sys.stdout.write("\n".join(lines))
+
+
+def _ladder_lines(cov: Coverage) -> Iterator[str]:
+    """One line per ladder; the endpoint text of each geodesic and the tail of
+    each (length, height) are made once."""
+    ends, tails = {}, {}
+    for r in cov.found:
+        v1, v2, key = r.gamma1.vertices, r.gamma2.vertices, (len(r.gamma1.vertices), r.height)
+        e1 = ends.get(v1) or ends.setdefault(v1, f"{v1[0]}->{v1[-1]}")
+        e2 = ends.get(v2) or ends.setdefault(v2, f"{v2[0]}->{v2[-1]}")
+        tail = tails.get(key) or tails.setdefault(key, (
+            f" len={key[0] - 1} m={r.m} height={r.height} bound={r.bound} "
+            f"within={'true' if r.within_bound else 'false'}\n"))
+        yield f"ladder: p1={e1} p2={e2}{tail}"
+
+
+def _flag_counts(cov: Coverage) -> str:
+    """found= and non_degenerate= of a bigon or triangle scan, read off its records' flags."""
+    flags = [r.degenerate for r in cov.found]
+    return f"found={sum(map(len, flags))} non_degenerate={sum(f.count(False) for f in flags)}"
+
+
+def _flag_lines(cov: Coverage, prefix) -> Iterator[str]:
+    """One chunk per bigon or triangle record: prefix(record), which ends in
+    'degenerate=', with true or false once per flag."""
+    for r in cov.found:
+        if r.degenerate:
+            text = prefix(r)
+            yield "".join(map((text + "false\n", text + "true\n").__getitem__, r.degenerate))
 
 
 def cmd_ball(args) -> int:
@@ -199,28 +225,35 @@ def cmd_ladders(args) -> int:
     k = args.k if args.k is not None else _min_k(host)[0]
     cov = find_ladders(host, args.m, k, scope)
     print(f"ladders: m={args.m} k={k} bound={ladder_bound_A(args.m, k)} found={len(cov.found)}")
-    _print_found(cov, ladder_report_line, True)
+    _print_found(cov, _ladder_lines(cov), True)
     return 0
+
+
+def _bigon_prefix(r) -> str:
+    vs = r.geodesics[0].vertices
+    return f"bigon: u={vs[0]} v={vs[-1]} len={len(vs) - 1} degenerate="
 
 
 def cmd_bigons(args) -> int:
     scope = _scope(args)
     cov = enumerate_bigons(_load_host(args), scope)
-    sides = [b.alpha.length for b in cov.found if not b.degenerate]
-    print(
-        f"bigons: found={len(cov.found)} non_degenerate={len(sides)} "
-        f"max_non_degenerate_side={max(sides, default='none')}"
-    )
-    _print_found(cov, bigon_report_line, args.verbose)
+    sides = [len(r.geodesics[0].vertices) - 1 for r in cov.found if False in r.degenerate]
+    print(f"bigons: {_flag_counts(cov)} max_non_degenerate_side={max(sides, default='none')}")
+    _print_found(cov, _flag_lines(cov, _bigon_prefix), args.verbose)
     return 0
+
+
+def _triangle_prefix(r) -> str:
+    va, vb, vc = r.alphas[0].vertices, r.betas[0].vertices, r.gammas[0].vertices
+    return (f"triangle: corners={va[0]},{vb[0]},{vc[0]} "
+            f"sides={len(va) - 1},{len(vb) - 1},{len(vc) - 1} degenerate=")
 
 
 def cmd_triangles(args) -> int:
     scope = _scope(args)
     cov = enumerate_triangles(_load_host(args), scope)
-    nondeg = sum(1 for t in cov.found if not t.degenerate)
-    print(f"triangles: found={len(cov.found)} non_degenerate={nondeg}")
-    _print_found(cov, triangle_report_line, args.verbose)
+    print(f"triangles: {_flag_counts(cov)}")
+    _print_found(cov, _flag_lines(cov, _triangle_prefix), args.verbose)
     return 0
 
 

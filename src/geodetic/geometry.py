@@ -17,7 +17,10 @@ PairStats reads the distance rows of its first walk's vertices, each row at
 most once per pair_stats or iter_disjoint_pairs call, and fellow_travel_bound
 does the same.  The bigon and triangle scans classify their enumerated
 geodesics without validating them again, and the triangle scan enumerates
-each ordered side once per scan, running one BFS per vertex it reads.
+each ordered side once per scan, running one BFS per vertex it reads.  They
+keep one record per vertex pair or corner triple: its geodesics and a tuple
+of degenerate flags, one per bigon or triangle, which the record's reports()
+expands into Bigon or GeodesicTriangle objects.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import combinations, combinations_with_replacement, islice, product
 from operator import eq
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import (
     Graph,
@@ -72,8 +75,7 @@ def fellow_travel_bound(g: Graph, p1: PathSeq, p2: PathSeq) -> int:
     return max(_distances(_Rows(g), pad(p1, n).vertices, pad(p2, n).vertices))
 
 
-@dataclass(frozen=True)
-class PairStats:
+class PairStats(NamedTuple):
     """Index-wise comparison of two equal-length paths at width m."""
 
     m: int
@@ -188,7 +190,10 @@ class Coverage:
     from its norms, however soon the scan stops; for triangles, the
     untrusted triples passed over before the triple cap stopped the scan.
     exhausted says a cap cut the search short, a truncated geodesic list
-    included.
+    included.  found holds one LadderReport per ladder; for bigons, one
+    BigonRecord per scanned pair, and for triangles, one TriangleRecord per
+    scanned triple, whose reports() yields its Bigon or GeodesicTriangle
+    objects, one per degenerate flag.
     """
 
     found: list = field(default_factory=list)
@@ -415,15 +420,6 @@ def find_ladders(
     return cov
 
 
-def ladder_report_line(r: LadderReport) -> str:
-    v1, v2 = r.gamma1.vertices, r.gamma2.vertices
-    return (
-        f"ladder: p1={v1[0]}->{v1[-1]} p2={v2[0]}->{v2[-1]} "
-        f"len={len(v1) - 1} m={r.m} height={r.height} bound={r.bound} "
-        f"within={'true' if r.within_bound else 'false'}"
-    )
-
-
 def shorten_paths(g: Graph, paths: Sequence[PathSeq], k: int) -> PathSeq:
     """Given k+1 distinct equal-length walks u -> v, build one of length n-1 or n-2.
 
@@ -490,8 +486,21 @@ def classify_bigon(g: Graph, alpha: PathSeq, beta: PathSeq) -> Bigon:
     return Bigon(alpha, beta, degenerate)
 
 
+class BigonRecord(NamedTuple):
+    """The bigons of one scanned vertex pair: its geodesics, and the degenerate
+    flag of each pair of them in combinations(geodesics, 2) order."""
+
+    geodesics: tuple
+    degenerate: tuple
+
+    def reports(self) -> Iterator[Bigon]:
+        pairs = combinations(self.geodesics, 2)
+        return (Bigon(a, b, flag) for (a, b), flag in zip(pairs, self.degenerate))
+
+
 def enumerate_bigons(host: Graph | CayleyBall, scope: Optional[SearchScope] = None) -> Coverage:
-    """Every pair of distinct geodesics u -> v over the scoped vertex pairs.
+    """Every pair of distinct geodesics u -> v over the scoped vertex pairs,
+    as one BigonRecord per pair.
 
     The Coverage counts pairs as find_ladders does, skipped being every
     untrusted pair of the ball; max_geodesic_pairs bounds only the ladder
@@ -501,17 +510,10 @@ def enumerate_bigons(host: Graph | CayleyBall, scope: Optional[SearchScope] = No
     """
     cov = Coverage()
     for _, geos in _pair_geodesics(host, scope or SearchScope(), cov):
-        for a, b in combinations(geos, 2):
-            cov.found.append(Bigon(a, b, any(map(eq, a.vertices[1:-1], b.vertices[1:-1]))))
+        inner = [p.vertices[1:-1] for p in geos]
+        flags = tuple(any(map(eq, a, b)) for a, b in combinations(inner, 2))
+        cov.found.append(BigonRecord(tuple(geos), flags))
     return cov
-
-
-def bigon_report_line(b: Bigon) -> str:
-    vs = b.alpha.vertices
-    return (
-        f"bigon: u={vs[0]} v={vs[-1]} len={len(vs) - 1} "
-        f"degenerate={'true' if b.degenerate else 'false'}"
-    )
 
 
 @dataclass(frozen=True)
@@ -556,8 +558,24 @@ def _corner_triples(
                 cov.skipped += 1
 
 
+class TriangleRecord(NamedTuple):
+    """The geodesic triangles of one scanned corner triple x <= y <= z: the
+    geodesics of its sides x -> y, y -> z and z -> x, and the degenerate flag
+    of each triangle in product(alphas, betas, gammas) order."""
+
+    alphas: tuple
+    betas: tuple
+    gammas: tuple
+    degenerate: tuple
+
+    def reports(self) -> Iterator[GeodesicTriangle]:
+        sides = product(self.alphas, self.betas, self.gammas)
+        return (GeodesicTriangle(*abc, flag) for abc, flag in zip(sides, self.degenerate))
+
+
 def enumerate_triangles(host: Graph | CayleyBall, scope: Optional[SearchScope] = None) -> Coverage:
-    """Geodesic triangles over corner triples x <= y <= z within scope.
+    """Geodesic triangles over corner triples x <= y <= z within scope, as one
+    TriangleRecord per triple.
 
     The triple cap reuses scope.max_pairs, and pairs_scanned counts triples;
     skipped counts the untrusted triples passed over before the scan stopped.
@@ -570,36 +588,30 @@ def enumerate_triangles(host: Graph | CayleyBall, scope: Optional[SearchScope] =
     g, pair_filter = _graph_and_filter(host)
     cov = Coverage()
     rows, limit = _Rows(g), scope.max_geodesics
-    sides: dict[tuple[int, int], list] = {}
+    sides: dict[tuple[int, int], tuple] = {}
 
-    def side(a: int, b: int) -> list[tuple[PathSeq, frozenset, bool]]:
-        """(geodesic, tail, zero length) of each geodesic a -> b, enumerated at the first call."""
+    def side(a: int, b: int) -> tuple[tuple, list[frozenset]]:
+        """The geodesics a -> b and their index-1.. tails, enumerated at the first call."""
         got = sides.get((a, b))
         if got is None:
             to_b = rows[b]
             geos, truncated = geodesic_walks(g.adj, a, b, to_b[a], to_b.__getitem__, limit)
             # exhausted only ever turns on, so a side met again need not mark it.
             cov.exhausted |= truncated
-            got = [(p, frozenset(p.vertices[1:]), len(p.vertices) == 1) for p in geos]
-            sides[a, b] = got
+            # A zero-length side keeps its one vertex as its tail; the side that
+            # ends at that corner holds it too, so its triangles are degenerate.
+            got = sides[a, b] = tuple(geos), [frozenset(p.vertices[1:] or p.vertices) for p in geos]
         return got
 
     for x, y, z in _capped(_corner_triples(g, rows, pair_filter, cov), scope.max_pairs, cov):
         cov.pairs_scanned += 1
-        alphas, betas, gammas = side(x, y), side(y, z), side(z, x)
-        for a, ta, za in alphas:
-            for b, tb, zb in betas:
-                ab = za or zb or not ta.isdisjoint(tb)
-                for c, tc, zc in gammas:
-                    degenerate = ab or zc or not (ta.isdisjoint(tc) and tb.isdisjoint(tc))
-                    cov.found.append(GeodesicTriangle(a, b, c, degenerate))
+        (alphas, tas), (betas, tbs), (gammas, tcs) = side(x, y), side(y, z), side(z, x)
+        flags = tuple(
+            ab or not (ta.isdisjoint(tc) and tb.isdisjoint(tc))
+            for ta in tas
+            for tb in tbs
+            for ab in (not ta.isdisjoint(tb),)
+            for tc in tcs
+        )
+        cov.found.append(TriangleRecord(alphas, betas, gammas, flags))
     return cov
-
-
-def triangle_report_line(t: GeodesicTriangle) -> str:
-    va, vb, vc = t.alpha.vertices, t.beta.vertices, t.gamma.vertices
-    return (
-        f"triangle: corners={va[0]},{vb[0]},{vc[0]} "
-        f"sides={len(va) - 1},{len(vb) - 1},{len(vc) - 1} "
-        f"degenerate={'true' if t.degenerate else 'false'}"
-    )

@@ -5,16 +5,18 @@ divisor scans, and direct membership checks, free of the library's own
 algorithms so that agreement actually means something.  The scoped-search
 oracles (ladders, bigons, triangles) choose and cap their vertex pairs and
 corner triples from a full scan of plain BFS rows, classify by hand, and
-reuse only the library's geodesic enumeration.  The language oracles are
-the earlier, longer forms of the stabilisation fit and the factor
-automaton, with every pruning step spelled out, and the power languages
-read off the ball graph's geodesic enumeration, each path's labels found
-by multiplying in the group.
+reuse only the library's geodesic enumeration.  The report-line oracles
+format each ladder, bigon or triangle report as one line of its own.  The
+language oracles are the earlier, longer forms of the stabilisation fit and
+the factor automaton, with every pruning step spelled out, and the power
+languages read off the ball graph's geodesic enumeration, each path's labels
+found by multiplying in the group.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import Optional
 
 from geodetic.geometry import (
@@ -342,6 +344,38 @@ def naive_triangles(host, scope) -> Coverage:
                         degenerate = bool(ta & tb or ta & tc or tb & tc)
                     cov.found.append(GeodesicTriangle(a, b, c, degenerate))
     return cov
+
+
+def expanded(cov: Coverage) -> Coverage:
+    """A bigon or triangle scan's Coverage with each record replaced by its reports,
+    one Bigon or GeodesicTriangle per degenerate flag, as the naive scans list them."""
+    return replace(cov, found=[report for record in cov.found for report in record.reports()])
+
+
+def ladder_report_line(r: LadderReport) -> str:
+    v1, v2 = r.gamma1.vertices, r.gamma2.vertices
+    return (
+        f"ladder: p1={v1[0]}->{v1[-1]} p2={v2[0]}->{v2[-1]} "
+        f"len={len(v1) - 1} m={r.m} height={r.height} bound={r.bound} "
+        f"within={'true' if r.within_bound else 'false'}"
+    )
+
+
+def bigon_report_line(b: Bigon) -> str:
+    vs = b.alpha.vertices
+    return (
+        f"bigon: u={vs[0]} v={vs[-1]} len={len(vs) - 1} "
+        f"degenerate={'true' if b.degenerate else 'false'}"
+    )
+
+
+def triangle_report_line(t: GeodesicTriangle) -> str:
+    va, vb, vc = t.alpha.vertices, t.beta.vertices, t.gamma.vertices
+    return (
+        f"triangle: corners={va[0]},{vb[0]},{vc[0]} "
+        f"sides={len(va) - 1},{len(vb) - 1},{len(vc) - 1} "
+        f"degenerate={'true' if t.degenerate else 'false'}"
+    )
 
 
 def word_of_path(ball: CayleyBall, vertices) -> tuple:

@@ -25,7 +25,7 @@ from geodetic import (
     parse_group_file,
     shorten_paths,
 )
-from geodetic import geometry, zoo
+from geodetic import cli, geometry, zoo
 from geodetic.geometry import (
     Coverage,
     classify_bigon,
@@ -47,13 +47,17 @@ from geodetic.zoo import (
 )
 
 from oracles import (
+    bigon_report_line,
     dfs_walks_of_length,
+    expanded,
+    ladder_report_line,
     naive_bigons,
     naive_disjoint_pairs,
     naive_find_ladders,
     naive_pair_stats,
     naive_scoped_pairs,
     naive_triangles,
+    triangle_report_line,
 )
 
 
@@ -288,7 +292,7 @@ def test_shorten_paths_random_trees(seed):
 
 
 def test_bigons_c4():
-    bigons = enumerate_bigons(cycle_graph(4)).found
+    bigons = expanded(enumerate_bigons(cycle_graph(4))).found
     assert len(bigons) == 2
     assert all(not b.degenerate for b in bigons)
     assert max(b.alpha.length for b in bigons if not b.degenerate) == 2
@@ -308,7 +312,7 @@ def test_bigons_k33_pair_count():
 
 
 def test_bigons_unique_geodesics_yield_none():
-    assert enumerate_bigons(path_graph(5)).found == []
+    assert expanded(enumerate_bigons(path_graph(5))).found == []
 
 
 def test_degenerate_bigon():
@@ -353,7 +357,7 @@ def test_triangles_c6():
 
 def test_enumerate_triangles_classification_is_consistent():
     g = petersen_graph()
-    triangles = enumerate_triangles(g, SearchScope(max_pairs=60)).found
+    triangles = expanded(enumerate_triangles(g, SearchScope(max_pairs=60))).found
     assert triangles
     for t in triangles[:200]:
         tails = [set(s.vertices[1:]) for s in (t.alpha, t.beta, t.gamma)]
@@ -484,15 +488,57 @@ def test_bigon_and_triangle_coverage_match_oracle():
     for host, _ in _scan_hosts():
         for scope in SCAN_SCOPES:
             bigons = enumerate_bigons(host, scope)
-            assert bigons == naive_bigons(host, scope)
+            assert expanded(bigons) == naive_bigons(host, scope)
             triangles = enumerate_triangles(host, scope)
-            assert triangles == naive_triangles(host, scope)
+            assert expanded(triangles) == naive_triangles(host, scope)
             for name, cov in (("bigons", bigons), ("triangles", triangles)):
                 at_cap = cov.pairs_scanned == scope.max_pairs
                 seen[f"{name} max_pairs"] |= cov.exhausted and at_cap
                 seen[f"{name} max_geodesics"] |= cov.exhausted and not at_cap
             seen["triangles skipped"] |= triangles.skipped > 0
     assert all(seen.values()), seen
+
+
+def _scan_text(command, cov, reports, k):
+    """What the CLI prints for a scan with --verbose (and --m 1), from one line per report."""
+    if command == "ladders":
+        head = f"ladders: m=1 k={k} bound={ladder_bound_A(1, k)} found={len(reports)}"
+        line = ladder_report_line
+    else:
+        sides = [r.alpha.length for r in reports if not r.degenerate]
+        head = f"{command}: found={len(reports)} non_degenerate={len(sides)}"
+        if command == "bigons":
+            head += f" max_non_degenerate_side={max(sides, default='none')}"
+        line = bigon_report_line if command == "bigons" else triangle_report_line
+    scanned = (f"scanned: pairs={cov.pairs_scanned} geodesic_pairs={cov.geodesic_pairs_scanned} "
+               f"skipped={cov.skipped} exhausted={'true' if cov.exhausted else 'false'}")
+    return "".join(f"{text}\n" for text in [head, *map(line, reports), scanned])
+
+
+@pytest.mark.parametrize("command", ["ladders", "bigons", "triangles"])
+def test_cli_scan_text_matches_report_line_oracle(monkeypatch, capsys, command):
+    """The CLI's scan text, made once per record (bigons, triangles) or with
+    shared pieces (ladders), equals a header and one oracle line per report,
+    including --scope-geodesics 0, whose records carry no flag."""
+    scan = {"bigons": enumerate_bigons, "triangles": enumerate_triangles}
+    caps = dict.fromkeys((s.max_pairs, s.max_geodesics) for s in SCAN_SCOPES)
+    for host, k in _scan_hosts():
+        monkeypatch.setattr(cli, "_load_host", lambda args, host=host: host)
+        for max_pairs, max_geodesics in [*caps, (SearchScope.max_pairs, 0)]:
+            scope = SearchScope(max_pairs=max_pairs, max_geodesics=max_geodesics)
+            argv = [command, "--graph", "host", "--scope-pairs", str(max_pairs),
+                    "--scope-geodesics", str(max_geodesics), "--verbose"]
+            if command == "ladders":
+                argv += ["--k", str(k)]
+                cov = find_ladders(host, 1, k, scope)
+                reports = cov.found
+            else:
+                cov = scan[command](host, scope)
+                reports = expanded(cov).found
+                if max_geodesics == 0:
+                    assert cov.found and not any(r.degenerate for r in cov.found)
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == _scan_text(command, cov, reports, k)
 
 
 @pytest.mark.parametrize("cap", ["max_pairs", "max_geodesics", "max_geodesic_pairs"])
@@ -704,7 +750,7 @@ def test_triangle_scan_enumerates_each_side_once(monkeypatch, host):
     monkeypatch.setattr(geometry, "geodesic_walks", counting)
     for scope, cov in zip(SCAN_SCOPES, want):
         calls.clear()
-        assert enumerate_triangles(host, scope) == cov
+        assert expanded(enumerate_triangles(host, scope)) == cov
         assert calls and len(calls) == len(set(calls))
 
 
@@ -718,7 +764,8 @@ def test_bigon_and_triangle_scans_do_not_validate_sides(monkeypatch):
 
     for name in ("validate_path", "classify_bigon", "classify_triangle"):
         monkeypatch.setattr(geometry, name, refuse)
-    assert [(enumerate_bigons(host), enumerate_triangles(host)) for host in hosts] == want
+    got = [(enumerate_bigons(host), enumerate_triangles(host)) for host in hosts]
+    assert [(expanded(b), expanded(t)) for b, t in got] == want
 
 
 SKIP_BALLS = [
