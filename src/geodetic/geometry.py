@@ -19,8 +19,7 @@ does the same.  The bigon and triangle scans classify their enumerated
 geodesics without validating them again, and the triangle scan enumerates
 each ordered side once per scan, running one BFS per vertex it reads.  They
 keep one record per vertex pair or corner triple: its geodesics and a tuple
-of degenerate flags, one per bigon or triangle, which the record's reports()
-expands into Bigon or GeodesicTriangle objects.
+of degenerate flags, one per bigon or triangle.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, islice, product
+from itertools import combinations, combinations_with_replacement, islice
 from operator import eq
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -190,10 +189,10 @@ class Coverage:
     from its norms, however soon the scan stops; for triangles, the
     untrusted triples passed over before the triple cap stopped the scan.
     exhausted says a cap cut the search short, a truncated geodesic list
-    included.  found holds one LadderReport per ladder; for bigons, one
-    BigonRecord per scanned pair, and for triangles, one TriangleRecord per
-    scanned triple, whose reports() yields its Bigon or GeodesicTriangle
-    objects, one per degenerate flag.
+    included.  found holds NamedTuple records: one LadderReport per ladder;
+    for bigons, one BigonRecord per scanned pair, and for triangles, one
+    TriangleRecord per scanned triple, each with one degenerate flag per
+    bigon or triangle.
     """
 
     found: list = field(default_factory=list)
@@ -203,8 +202,9 @@ class Coverage:
     exhausted: bool = False
 
 
-@dataclass(frozen=True)
-class LadderReport:
+class LadderReport(NamedTuple):
+    """A ladder-like structure: a disjoint geodesic pair, its width, height and A(m, k)."""
+
     gamma1: PathSeq
     gamma2: PathSeq
     m: int
@@ -463,39 +463,16 @@ def shorten_paths(g: Graph, paths: Sequence[PathSeq], k: int) -> PathSeq:
     return result
 
 
-@dataclass(frozen=True)
-class Bigon:
-    """Two distinct geodesics sharing both endpoints.
-
-    Non-degenerate when the sides avoid each other at every interior index.
-    """
-
-    alpha: PathSeq
-    beta: PathSeq
-    degenerate: bool
-
-
-def classify_bigon(g: Graph, alpha: PathSeq, beta: PathSeq) -> Bigon:
-    if alpha.start != beta.start or alpha.end != beta.end:
-        raise ValueError("bigon sides must share both endpoints")
-    if alpha.length != beta.length:
-        raise ValueError("bigon sides must be geodesics of one length")
-    if alpha.vertices == beta.vertices:
-        raise ValueError("bigon sides must be distinct")
-    degenerate = any(alpha[i] == beta[i] for i in range(1, alpha.length))
-    return Bigon(alpha, beta, degenerate)
-
-
 class BigonRecord(NamedTuple):
     """The bigons of one scanned vertex pair: its geodesics, and the degenerate
-    flag of each pair of them in combinations(geodesics, 2) order."""
+    flag of each pair of them in combinations(geodesics, 2) order.
+
+    A bigon is two distinct geodesics sharing both endpoints; it is
+    degenerate when its sides meet at some interior index.
+    """
 
     geodesics: tuple
     degenerate: tuple
-
-    def reports(self) -> Iterator[Bigon]:
-        pairs = combinations(self.geodesics, 2)
-        return (Bigon(a, b, flag) for (a, b), flag in zip(pairs, self.degenerate))
 
 
 def enumerate_bigons(host: Graph | CayleyBall, scope: Optional[SearchScope] = None) -> Coverage:
@@ -505,8 +482,7 @@ def enumerate_bigons(host: Graph | CayleyBall, scope: Optional[SearchScope] = No
     The Coverage counts pairs as find_ladders does, skipped being every
     untrusted pair of the ball; max_geodesic_pairs bounds only the ladder
     pairing, so geodesic_pairs_scanned stays 0.  The sides come from one
-    enumeration, so they are classified as classify_bigon would without its
-    checks.
+    enumeration, so they are classified without being validated again.
     """
     cov = Coverage()
     for _, geos in _pair_geodesics(host, scope or SearchScope(), cov):
@@ -514,31 +490,6 @@ def enumerate_bigons(host: Graph | CayleyBall, scope: Optional[SearchScope] = No
         flags = tuple(any(map(eq, a, b)) for a, b in combinations(inner, 2))
         cov.found.append(BigonRecord(tuple(geos), flags))
     return cov
-
-
-@dataclass(frozen=True)
-class GeodesicTriangle:
-    """Three chained geodesics x->y->z->x.
-
-    Non-degenerate when the index-1.. tails of the three sides are pairwise
-    disjoint vertex sets; a zero-length side collapses two corners and makes
-    the triangle degenerate outright.
-    """
-
-    alpha: PathSeq
-    beta: PathSeq
-    gamma: PathSeq
-    degenerate: bool
-
-
-def classify_triangle(g: Graph, alpha: PathSeq, beta: PathSeq, gamma: PathSeq) -> GeodesicTriangle:
-    if alpha.end != beta.start or beta.end != gamma.start or gamma.end != alpha.start:
-        raise ValueError("triangle sides must chain x->y->z->x")
-    if min(alpha.length, beta.length, gamma.length) == 0:
-        return GeodesicTriangle(alpha, beta, gamma, True)
-    tails = [set(p.vertices[1:]) for p in (alpha, beta, gamma)]
-    degenerate = bool(tails[0] & tails[1] or tails[0] & tails[2] or tails[1] & tails[2])
-    return GeodesicTriangle(alpha, beta, gamma, degenerate)
 
 
 def _corner_triples(
@@ -561,16 +512,17 @@ def _corner_triples(
 class TriangleRecord(NamedTuple):
     """The geodesic triangles of one scanned corner triple x <= y <= z: the
     geodesics of its sides x -> y, y -> z and z -> x, and the degenerate flag
-    of each triangle in product(alphas, betas, gammas) order."""
+    of each triangle in product(alphas, betas, gammas) order.
+
+    A triangle is non-degenerate when the index-1.. tails of its three sides
+    are pairwise disjoint vertex sets; a zero-length side collapses two
+    corners and makes the triangle degenerate outright.
+    """
 
     alphas: tuple
     betas: tuple
     gammas: tuple
     degenerate: tuple
-
-    def reports(self) -> Iterator[GeodesicTriangle]:
-        sides = product(self.alphas, self.betas, self.gammas)
-        return (GeodesicTriangle(*abc, flag) for abc, flag in zip(sides, self.degenerate))
 
 
 def enumerate_triangles(host: Graph | CayleyBall, scope: Optional[SearchScope] = None) -> Coverage:

@@ -65,7 +65,6 @@ class GeodesicDag:
     dist[u] = dist[v] - 1; they are not stored.
     """
 
-    source: int
     dist: list[int]
     counts: list[int]
 
@@ -178,7 +177,7 @@ def bfs_dag(g: Graph, source: int, count_cap: Optional[int] = None) -> GeodesicD
             for v in nxt:
                 counts[v] = min(counts[v], count_cap)
         layer = nxt
-    return GeodesicDag(source, dist, counts)
+    return GeodesicDag(dist, counts)
 
 
 def count_geodesics(g: Graph, u: int, v: int) -> int:

@@ -5,30 +5,32 @@ divisor scans, and direct membership checks, free of the library's own
 algorithms so that agreement actually means something.  The scoped-search
 oracles (ladders, bigons, triangles) choose and cap their vertex pairs and
 corner triples from a full scan of plain BFS rows, classify by hand, and
-reuse only the library's geodesic enumeration.  The report-line oracles
-format each ladder, bigon or triangle report as one line of its own.  The
-language oracles are the earlier, longer forms of the stabilisation fit and
-the factor automaton, with every pruning step spelled out, and the power
-languages read off the ball graph's geodesic enumeration, each path's labels
-found by multiplying in the group.
+reuse only the library's geodesic enumeration.  They list one BigonReport or
+TriangleReport per bigon or triangle, and expanded() turns a library scan's
+records into the same list.  The report-line oracles format each ladder,
+bigon or triangle report as one line of its own.  The language oracles are
+the earlier, longer forms of the stabilisation fit and the factor automaton,
+with every pruning step spelled out, and the power languages read off the
+ball graph's geodesic enumeration, each path's labels found by multiplying
+in the group.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from typing import Optional
+from itertools import combinations, product
+from typing import NamedTuple, Optional
 
 from geodetic.geometry import (
-    Bigon,
+    BigonRecord,
     Coverage,
-    GeodesicTriangle,
     LadderReport,
     PairStats,
     ladder_bound_A,
     validate_path,
 )
-from geodetic.graphs import Graph, build_graph, enumerate_geodesics
+from geodetic.graphs import Graph, PathSeq, build_graph, enumerate_geodesics
 from geodetic.groups import BallBudgetError, CayleyBall, word_to_element
 
 
@@ -207,6 +209,19 @@ def naive_pair_stats(g: Graph, p1, p2, m: int) -> PairStats:
     return PairStats(m, tuple(distances), a_m, c_m, disjoint, co, sync)
 
 
+class BigonReport(NamedTuple):
+    alpha: PathSeq
+    beta: PathSeq
+    degenerate: bool
+
+
+class TriangleReport(NamedTuple):
+    alpha: PathSeq
+    beta: PathSeq
+    gamma: PathSeq
+    degenerate: bool
+
+
 def bfs_distances(g: Graph, u: int) -> list[Optional[int]]:
     """Distances from u by a plain queue BFS; None marks an unreachable vertex."""
     dist: list[Optional[int]] = [None] * g.vertex_count
@@ -300,7 +315,7 @@ def naive_bigons(host, scope) -> Coverage:
             for j in range(i + 1, len(geos)):
                 a, b = geos[i], geos[j]
                 degenerate = any(a[t] == b[t] for t in range(1, a.length))
-                cov.found.append(Bigon(a, b, degenerate))
+                cov.found.append(BigonReport(a, b, degenerate))
     return cov
 
 
@@ -342,14 +357,21 @@ def naive_triangles(host, scope) -> Coverage:
                     else:
                         ta, tb, tc = (set(p.vertices[1:]) for p in (a, b, c))
                         degenerate = bool(ta & tb or ta & tc or tb & tc)
-                    cov.found.append(GeodesicTriangle(a, b, c, degenerate))
+                    cov.found.append(TriangleReport(a, b, c, degenerate))
     return cov
 
 
 def expanded(cov: Coverage) -> Coverage:
     """A bigon or triangle scan's Coverage with each record replaced by its reports,
-    one Bigon or GeodesicTriangle per degenerate flag, as the naive scans list them."""
-    return replace(cov, found=[report for record in cov.found for report in record.reports()])
+    one BigonReport or TriangleReport per degenerate flag, as the naive scans list them."""
+    found = []
+    for r in cov.found:
+        if isinstance(r, BigonRecord):
+            sides, report = combinations(r.geodesics, 2), BigonReport
+        else:
+            sides, report = product(r.alphas, r.betas, r.gammas), TriangleReport
+        found.extend(report(*abc, flag) for abc, flag in zip(sides, r.degenerate))
+    return replace(cov, found=found)
 
 
 def ladder_report_line(r: LadderReport) -> str:
@@ -361,7 +383,7 @@ def ladder_report_line(r: LadderReport) -> str:
     )
 
 
-def bigon_report_line(b: Bigon) -> str:
+def bigon_report_line(b: BigonReport) -> str:
     vs = b.alpha.vertices
     return (
         f"bigon: u={vs[0]} v={vs[-1]} len={len(vs) - 1} "
@@ -369,7 +391,7 @@ def bigon_report_line(b: Bigon) -> str:
     )
 
 
-def triangle_report_line(t: GeodesicTriangle) -> str:
+def triangle_report_line(t: TriangleReport) -> str:
     va, vb, vc = t.alpha.vertices, t.beta.vertices, t.gamma.vertices
     return (
         f"triangle: corners={va[0]},{vb[0]},{vc[0]} "

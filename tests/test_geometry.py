@@ -27,9 +27,10 @@ from geodetic import (
 )
 from geodetic import cli, geometry, zoo
 from geodetic.geometry import (
+    BigonRecord,
     Coverage,
-    classify_bigon,
-    classify_triangle,
+    LadderReport,
+    TriangleRecord,
     is_geodesic_path,
     iter_disjoint_pairs,
     pad,
@@ -298,17 +299,22 @@ def test_bigons_c4():
     assert max(b.alpha.length for b in bigons if not b.degenerate) == 2
 
 
+def _bigon_record(g, u, v):
+    """The record enumerate_bigons(g) keeps for the vertex pair u < v."""
+    return next(r for r in enumerate_bigons(g).found
+                if (r.geodesics[0].start, r.geodesics[0].end) == (u, v))
+
+
+def _triangle_record(g, x, y, z):
+    """The record enumerate_triangles(g) keeps for the corner triple x <= y <= z."""
+    return next(r for r in enumerate_triangles(g).found
+                if (r.alphas[0].start, r.betas[0].start, r.gammas[0].start) == (x, y, z))
+
+
 def test_bigons_k33_pair_count():
-    g = complete_bipartite(3, 3)
-    geos, _ = enumerate_geodesics(g, 0, 1)
-    assert len(geos) == 3
-    bigons = [
-        classify_bigon(g, geos[i], geos[j])
-        for i in range(3)
-        for j in range(i + 1, 3)
-    ]
-    assert len(bigons) == 3
-    assert all(not b.degenerate for b in bigons)
+    record = _bigon_record(complete_bipartite(3, 3), 0, 1)
+    assert len(record.geodesics) == 3
+    assert record.degenerate == (False, False, False)
 
 
 def test_bigons_unique_geodesics_yield_none():
@@ -320,39 +326,26 @@ def test_degenerate_bigon():
     g_edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 2), (2, 6), (6, 4)]
     from geodetic import build_graph
 
-    g = build_graph(g_edges, 7)
-    geos, _ = enumerate_geodesics(g, 0, 4)
-    assert len(geos) == 4
-    for i in range(len(geos)):
-        for j in range(i + 1, len(geos)):
-            assert classify_bigon(g, geos[i], geos[j]).degenerate
-
-
-def test_classify_bigon_validation():
-    g = cycle_graph(4)
-    with pytest.raises(ValueError):
-        classify_bigon(g, PathSeq((0, 1, 2)), PathSeq((0, 1, 2)))
-    with pytest.raises(ValueError):
-        classify_bigon(g, PathSeq((0, 1, 2)), PathSeq((1, 2)))
+    record = _bigon_record(build_graph(g_edges, 7), 0, 4)
+    assert len(record.geodesics) == 4
+    assert record.degenerate == (True,) * 6
 
 
 def test_triangles_c3_and_point():
     g = cycle_graph(3)
-    t = classify_triangle(
-        g, PathSeq((0, 1)), PathSeq((1, 2)), PathSeq((2, 0))
-    )
-    assert not t.degenerate
-    point = classify_triangle(g, PathSeq((0,)), PathSeq((0,)), PathSeq((0,)))
-    assert point.degenerate
+    t = _triangle_record(g, 0, 1, 2)
+    sides = (t.alphas, t.betas, t.gammas)
+    assert sides == ((PathSeq((0, 1)),), (PathSeq((1, 2)),), (PathSeq((2, 0)),))
+    assert t.degenerate == (False,)
+    point = _triangle_record(g, 0, 0, 0)
+    assert (point.alphas, point.betas, point.gammas) == ((PathSeq((0,)),),) * 3
+    assert point.degenerate == (True,)
 
 
 def test_triangles_c6():
-    g = cycle_graph(6)
-    alpha, _ = enumerate_geodesics(g, 0, 2)
-    beta, _ = enumerate_geodesics(g, 2, 4)
-    gamma, _ = enumerate_geodesics(g, 4, 0)
-    t = classify_triangle(g, alpha[0], beta[0], gamma[0])
-    assert not t.degenerate
+    t = _triangle_record(cycle_graph(6), 0, 2, 4)
+    assert (len(t.alphas), len(t.betas), len(t.gammas)) == (1, 1, 1)
+    assert t.degenerate == (False,)
 
 
 def test_enumerate_triangles_classification_is_consistent():
@@ -368,12 +361,6 @@ def test_enumerate_triangles_classification_is_consistent():
                 tails[0] & tails[1] or tails[1] & tails[2] or tails[0] & tails[2]
             )
             assert t.degenerate == bool(overlap)
-
-
-def test_triangle_side_chain_validation():
-    g = cycle_graph(4)
-    with pytest.raises(ValueError):
-        classify_triangle(g, PathSeq((0, 1)), PathSeq((2, 3)), PathSeq((3, 0)))
 
 
 def _outcome(f, *args):
@@ -539,6 +526,27 @@ def test_cli_scan_text_matches_report_line_oracle(monkeypatch, capsys, command):
                     assert cov.found and not any(r.degenerate for r in cov.found)
             assert cli.main(argv) == 0
             assert capsys.readouterr().out == _scan_text(command, cov, reports, k)
+
+
+def test_scan_results_are_named_tuple_records():
+    """Every entry of a scan's found is a tuple of that scan's record type."""
+    fields = {
+        LadderReport: ("gamma1", "gamma2", "m", "height", "bound", "within_bound"),
+        BigonRecord: ("geodesics", "degenerate"),
+        TriangleRecord: ("alphas", "betas", "gammas", "degenerate"),
+    }
+    assert {record: record._fields for record in fields} == fields
+    seen = dict.fromkeys(fields, 0)
+    for host, k in _scan_hosts():
+        scans = {
+            LadderReport: find_ladders(host, 1, k),
+            BigonRecord: enumerate_bigons(host),
+            TriangleRecord: enumerate_triangles(host),
+        }
+        for record, cov in scans.items():
+            assert all(type(r) is record and isinstance(r, tuple) for r in cov.found)
+            seen[record] += len(cov.found)
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("cap", ["max_pairs", "max_geodesics", "max_geodesic_pairs"])
@@ -762,8 +770,7 @@ def test_bigon_and_triangle_scans_do_not_validate_sides(monkeypatch):
     def refuse(*args):
         raise AssertionError("side validated again")
 
-    for name in ("validate_path", "classify_bigon", "classify_triangle"):
-        monkeypatch.setattr(geometry, name, refuse)
+    monkeypatch.setattr(geometry, "validate_path", refuse)
     got = [(enumerate_bigons(host), enumerate_triangles(host)) for host in hosts]
     assert [(expanded(b), expanded(t)) for b, t in got] == want
 
