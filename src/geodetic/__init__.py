@@ -17,15 +17,12 @@ from .graphs import (
     parse_graph,
 )
 from .words import (
-    Alphabet,
     LSDecomposition,
     Word,
     WordEquationError,
     commuting_common_root,
     format_word,
-    free_reduce,
     parse_word,
-    primed_alphabet,
     primitive_root,
     solve_zx_eq_yz,
 )
@@ -41,7 +38,6 @@ from .groups import (
     ProductSpec,
     TableSpec,
     cayley_ball,
-    element_norm,
     parse_group_file,
     validate_genset,
     word_to_element,
@@ -58,7 +54,6 @@ from .geometry import (
     enumerate_triangles,
     fellow_travel_bound,
     find_ladders,
-    is_geodesic_path,
     iter_disjoint_pairs,
     ladder_bound_A,
     pad,

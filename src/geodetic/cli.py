@@ -184,9 +184,9 @@ def cmd_ball(args) -> int:
     if args.verbose:
         for d, n in sorted(Counter(ball.norms).items()):
             print(f"norm {d}: {n} elements")
-        frac = ball.reached_fraction()
-        if frac is not None:
-            print(f"reached {len(ball.elements)} of {ball.spec.order()} group elements")
+        order = ball.spec.order()
+        if order is not None:
+            print(f"reached {len(ball.elements)} of {order} group elements")
     if args.dot:
         _write(args.dot, _dot(ball))
     return 0
@@ -288,7 +288,7 @@ def cmd_automaton(args) -> int:
 
 def cmd_powers(args) -> int:
     ball = _load_ball(args)
-    w = parse_word(args.word, ball.genset.alphabet())
+    w = parse_word(args.word, ball.genset.labels)
     report = power_language(ball, w, args.nmax)
     for line in power_report_lines(report):
         print(line)
@@ -297,7 +297,7 @@ def cmd_powers(args) -> int:
 
 def cmd_centraliser(args) -> int:
     ball = _load_ball(args)
-    w = parse_word(args.word, ball.genset.alphabet())
+    w = parse_word(args.word, ball.genset.labels)
     g = word_to_element(ball.spec, ball.genset, w)
     members = centraliser_in_ball(ball, g)
     print(f"centraliser of {ball.spec.format_element(g)} in ball: size={len(members)}")

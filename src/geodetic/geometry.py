@@ -16,10 +16,11 @@ a BFS of depth m per vertex, so find_ladders reads no distance row.  A full
 PairStats reads the distance rows of its first walk's vertices, each row at
 most once per pair_stats or iter_disjoint_pairs call, and fellow_travel_bound
 does the same.  The bigon and triangle scans classify their enumerated
-geodesics without validating them again, and the triangle scan enumerates
-each ordered side once per scan, running one BFS per vertex it reads.  They
-keep one record per vertex pair or corner triple: its geodesics and a tuple
-of degenerate flags, one per bigon or triangle.
+geodesics without validating them again.  The triangle scan enumerates each
+ordered side once per scan, off the distance row of its smaller end and the
+interval between the ends, so it runs one BFS per corner x or y of its
+triples.  Both scans keep one record per vertex pair or corner triple: its
+geodesics and a tuple of degenerate flags, one per bigon or triangle.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ def validate_path(g: Graph, p: PathSeq) -> None:
     for u, v in zip(p.vertices, p.vertices[1:]):
         if v not in g.adj[u]:
             raise ValueError(f"{u} and {v} are not adjacent")
-
-
-def is_geodesic_path(g: Graph, p: PathSeq) -> bool:
-    validate_path(g, p)
-    return g.dist(p.start, p.end) == p.length
 
 
 def pad(p: PathSeq, n: int) -> PathSeq:
@@ -509,6 +505,19 @@ def _corner_triples(
                 cov.skipped += 1
 
 
+def _interval(adj, row: list[int], b: int) -> dict[int, int]:
+    """The vertices on the geodesics a -> b, each mapped to its distance to b,
+    where row is the distance row of a: from a vertex x of theirs, they go
+    on, one step further from b, to the neighbours of x one step closer to a."""
+    near, found = {b: 0}, [b]
+    for x in found:  # found grows while it is read
+        for y in adj[x]:
+            if row[y] == row[x] - 1 and y not in near:
+                near[y] = near[x] + 1
+                found.append(y)
+    return near
+
+
 class TriangleRecord(NamedTuple):
     """The geodesic triangles of one scanned corner triple x <= y <= z: the
     geodesics of its sides x -> y, y -> z and z -> x, and the degenerate flag
@@ -533,8 +542,9 @@ def enumerate_triangles(host: Graph | CayleyBall, scope: Optional[SearchScope] =
     skipped counts the untrusted triples passed over before the scan stopped.
     max_geodesic_pairs bounds only the ladder pairing, so
     geodesic_pairs_scanned stays 0.  Each ordered side (a, b) is enumerated
-    once per scan, off the distance row of b, and its geodesics are kept with
-    their index-1.. tail sets; each vertex's row is one BFS per scan.
+    once per scan, off the distance row of min(a, b), and its geodesics are
+    kept with their index-1.. tail sets.  So rows are read only for the
+    corners x and y, one BFS per vertex per scan.
     """
     scope = scope or SearchScope()
     g, pair_filter = _graph_and_filter(host)
@@ -546,8 +556,11 @@ def enumerate_triangles(host: Graph | CayleyBall, scope: Optional[SearchScope] =
         """The geodesics a -> b and their index-1.. tails, enumerated at the first call."""
         got = sides.get((a, b))
         if got is None:
-            to_b = rows[b]
-            geos, truncated = geodesic_walks(g.adj, a, b, to_b[a], to_b.__getitem__, limit)
+            if b <= a:
+                d, to_b = rows[b][a], rows[b].__getitem__
+            else:
+                d, to_b = rows[a][b], _interval(g.adj, rows[a], b).get
+            geos, truncated = geodesic_walks(g.adj, a, b, d, to_b, limit)
             # exhausted only ever turns on, so a side met again need not mark it.
             cov.exhausted |= truncated
             # A zero-length side keeps its one vertex as its tail; the side that

@@ -7,7 +7,6 @@ asks for it and dropped with it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -50,9 +49,6 @@ class PathSeq:
 
     def __getitem__(self, i: int) -> int:
         return self.vertices[i]
-
-    def reversed(self) -> "PathSeq":
-        return PathSeq(tuple(reversed(self.vertices)))
 
 
 @dataclass
@@ -101,9 +97,6 @@ class Graph:
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self.adj[u]
-
-    def degree(self, u: int) -> int:
-        return len(self.adj[u])
 
     @property
     def edge_count(self) -> int:
@@ -213,7 +206,8 @@ def enumerate_geodesics(
 
 def geodesic_walks(adj, u: int, v: int, total: int, dist_to_v, limit: Optional[int]):
     """The geodesics u -> v of length total = d(u, v), as enumerate_geodesics returns them;
-    dist_to_v(x) must be exact where d(x, v) < total and no number below total elsewhere."""
+    dist_to_v(x) must be d(x, v) on the geodesics u -> v and, off them, never total - i
+    for a walk reaching x in i steps (None or the exact distance both do)."""
     if u == v:
         # The single-vertex geodesic counts against the limit like any other.
         return ([], True) if limit == 0 else ([PathSeq((u,))], False)
@@ -332,26 +326,19 @@ def is_k_geodetic(
 
 
 def is_complete_bipartite(g: Graph) -> Optional[tuple[int, int]]:
-    """Part sizes (small, large) when g is a complete bipartite graph K_{k,l}."""
+    """Part sizes (small, large) when g is a complete bipartite graph K_{k,l},
+    whose parts are the parities of the distances from vertex 0."""
     if g.vertex_count == 0:
         return None
-    if not g.is_connected():
+    dist = g.dag(0).dist
+    if UNREACHED in dist:
         raise UnreachablePairError("graph is not connected")
-    color = [UNREACHED] * g.vertex_count
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if color[v] == UNREACHED:
-                color[v] = 1 - color[u]
-                queue.append(v)
-            elif color[v] == color[u]:
-                return None
-    part = [sum(1 for c in color if c == 0), sum(1 for c in color if c == 1)]
-    for u in range(g.vertex_count):
-        if g.degree(u) != part[1 - color[u]]:
-            return None
+    color = [d % 2 for d in dist]
+    if any(color[u] == color[v] for u, v in g.edges()):
+        return None
+    part = [color.count(0), color.count(1)]
+    if any(len(nbrs) != part[1 - c] for nbrs, c in zip(g.adj, color)):
+        return None
     return (min(part), max(part))
 
 
@@ -409,7 +396,6 @@ def _dot_quote(s: str) -> str:
 
 def graph_to_dot(
     g: Graph,
-    name: str = "G",
     vertex_labels: Optional[Sequence[str]] = None,
     edge_label: Optional[Callable[[int, int], str]] = None,
 ) -> str:
@@ -418,7 +404,7 @@ def graph_to_dot(
     The caller supplies the display labels, if any: vertex_labels[u] for
     each vertex, and edge_label(u, v) for each edge with u < v.
     """
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for u in range(g.vertex_count):
         if vertex_labels is not None:
             lines.append(f"  {u} [label={_dot_quote(vertex_labels[u])}];")

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .graphs import Graph, k_geodetic_of_rows, min_k_of_rows
-from .words import Alphabet, Word
+from .words import Word
 
 Element = Union[int, tuple]
 
@@ -472,9 +472,6 @@ class GenSet:
         except ValueError:
             raise GenSetError(f"unknown generator label {label!r}")
 
-    def alphabet(self) -> Alphabet:
-        return Alphabet(frozenset(self.labels), dict(self.inverse_label))
-
 
 def validate_genset(spec: GroupSpec, pairs: Sequence[tuple[str, Element]]) -> GenSet:
     """Check labels unique, elements distinct and non-identity, set inverse-closed."""
@@ -621,12 +618,6 @@ class CayleyBall:
         """
         return k_geodetic_of_rows(self._identity_rows(), k)
 
-    def reached_fraction(self) -> Optional[float]:
-        order = self.spec.order()
-        if order is None:
-            return None
-        return len(self.elements) / order
-
 
 def cayley_ball(
     spec: GroupSpec, genset: GenSet, radius: int, budget: Optional[int] = None
@@ -682,11 +673,6 @@ def cayley_ball(
                 back[v] = u
     complete = max(norms) < radius or spec.order() == len(elements)
     return CayleyBall(spec, genset, radius, elements, index, norms, complete, steps)
-
-
-def element_norm(ball: CayleyBall, g: Element) -> int:
-    """Distance from the identity to g; g must lie inside the ball."""
-    return ball.norms[ball.vertex_of(g)]
 
 
 def word_to_element(spec: GroupSpec, genset: GenSet, w: Word) -> Element:

@@ -263,10 +263,6 @@ class Stabilization:
         mid = (self.t + self.s) * (self.q + c) + self.t
         return frozenset(a + mid + g for a in self.alpha_set for g in self.gamma_set)
 
-    @property
-    def multiplicity(self) -> int:
-        return len(self.alpha_set) * len(self.gamma_set)
-
 
 @dataclass(frozen=True)
 class PowerLanguageReport:

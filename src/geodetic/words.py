@@ -1,13 +1,13 @@
-"""Combinatorics on words: factors, primitive roots, commutation equations.
+"""Words over letter strings: parsing, primitive roots, commutation equations.
 
-Words are tuples of letter strings.  Inverse letters follow the trailing
-apostrophe convention (a' is the formal inverse of a) when rendered.
+Words are tuples of letter strings, such as a generating set's labels.
+Without a letter set, a trailing apostrophe marks a formal inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 Word = tuple[str, ...]
 
@@ -20,54 +20,18 @@ class WordEquationError(ValueError):
     """The input words do not satisfy the required equation."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """A finite letter set with a formal-inverse involution."""
-
-    letters: frozenset[str]
-    inverse: Mapping[str, str]
-
-    def __post_init__(self):
-        for a in self.letters:
-            b = self.inverse.get(a)
-            if b is None:
-                raise ValueError(f"letter {a!r} has no inverse")
-            if b not in self.letters:
-                raise ValueError(f"inverse {b!r} of {a!r} is outside the alphabet")
-            if self.inverse.get(b) != a:
-                raise ValueError(f"inverse map is not an involution at {a!r}")
-        for a in self.inverse:
-            if a not in self.letters:
-                raise ValueError(f"involution mentions unknown letter {a!r}")
-
-    def inv(self, letter: str) -> str:
-        return self.inverse[letter]
-
-
-def primed_alphabet(base_letters: Iterable[str]) -> Alphabet:
-    """Alphabet holding x and x' for each base letter, paired as inverses."""
-    letters = set()
-    inverse = {}
-    for x in base_letters:
-        y = x + "'"
-        letters.update((x, y))
-        inverse[x] = y
-        inverse[y] = x
-    return Alphabet(frozenset(letters), inverse)
-
-
-def parse_word(text: str, alphabet: Optional[Alphabet] = None) -> Word:
+def parse_word(text: str, letters: Optional[Iterable[str]] = None) -> Word:
     """Parse a whitespace-free word.
 
-    With an alphabet the text is matched greedily against its letters
-    (longest first).  Without one, each character is a letter and a trailing
-    apostrophe marks its formal inverse.
+    With letters the text is matched greedily, longest letter first (at most
+    one letter of a length matches at a position).  Without them, each
+    character is a letter and a trailing apostrophe marks its formal inverse.
     """
     text = text.strip()
     if text in ("", LAMBDA):
         return EMPTY_WORD
     out: list[str] = []
-    if alphabet is None:
+    if letters is None:
         i = 0
         while i < len(text):
             ch = text[i]
@@ -80,7 +44,7 @@ def parse_word(text: str, alphabet: Optional[Alphabet] = None) -> Word:
                 out.append(ch)
                 i += 1
         return tuple(out)
-    by_length = sorted(alphabet.letters, key=len, reverse=True)
+    by_length = sorted(letters, key=len, reverse=True)
     i = 0
     while i < len(text):
         for letter in by_length:
@@ -95,20 +59,6 @@ def parse_word(text: str, alphabet: Optional[Alphabet] = None) -> Word:
 
 def format_word(w: Word) -> str:
     return "".join(w) if w else LAMBDA
-
-
-def is_factor(u: Word, w: Word) -> bool:
-    """Whether u occurs as a contiguous factor of w (λ always does)."""
-    n = len(u)
-    return any(w[i : i + n] == u for i in range(len(w) - n + 1))
-
-
-def factors_of_length(w: Word, length: int) -> set[Word]:
-    if length < 0:
-        raise ValueError("factor length must be nonnegative")
-    if length == 0:
-        return {EMPTY_WORD}
-    return {w[i : i + length] for i in range(len(w) - length + 1)}
 
 
 def primitive_root(w: Word) -> tuple[Word, int]:
@@ -185,15 +135,3 @@ def commuting_common_root(x: Word, y: Word) -> Word:
             raise WordEquationError("commuting words with no common root")
     return root
 
-
-def free_reduce(w: Word, alphabet: Alphabet) -> Word:
-    """Cancel adjacent letter/inverse pairs until none remain."""
-    stack: list[str] = []
-    for letter in w:
-        if letter not in alphabet.letters:
-            raise ValueError(f"letter {letter!r} is outside the alphabet")
-        if stack and stack[-1] == alphabet.inverse[letter]:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return tuple(stack)

@@ -66,6 +66,18 @@ def dfs_shortest_paths(g: Graph, u: int, v: int) -> tuple[Optional[int], list[tu
     return None, []
 
 
+def brute_complete_bipartite(g: Graph) -> Optional[tuple[int, int]]:
+    """Part sizes (small, large) of the first vertex set S, over all subsets,
+    whose edges are exactly the vertex pairs with one end in S."""
+    n, edges = g.vertex_count, set(g.edges())
+    for mask in range(1 << n):
+        side = [mask >> v & 1 for v in range(n)]
+        if edges == {(u, v) for u, v in combinations(range(n), 2) if side[u] != side[v]}:
+            k = sum(side)
+            return (min(k, n - k), max(k, n - k))
+    return None
+
+
 def brute_primitive_root(w: tuple) -> tuple[tuple, int]:
     """Smallest divisor-length prefix whose power rebuilds w."""
     n = len(w)

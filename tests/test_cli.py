@@ -622,6 +622,33 @@ def test_centraliser_golden(capsys, tmp_path):
     assert len(lines) == 8
 
 
+PREFIX_LABELS = (
+    "group product cyclic 0 cyclic 0\n"
+    "gen x1 pow 1, pow 0\n"
+    "gen x1' pow -1, pow 0\n"
+    "gen x12 pow 0, pow 1\n"
+    "gen x12' pow 0, pow -1\n"
+    "ball R=4\n"
+)
+
+
+def test_powers_and_centraliser_read_labels_that_prefix_each_other(capsys, tmp_path):
+    """Words are read greedily, longest label first, so x12' is never x1 then 2'."""
+    path = tmp_path / "prefix.grp"
+    path.write_text(PREFIX_LABELS)
+    assert run(capsys, ["powers", "x12'x1", "--group", str(path), "--nmax", "2"]) == (0, (
+        "powers of x12'x1: n_max=2\n"
+        "L_0: size=1 {λ}\n"
+        "L_1: size=2 {x1x12',x12'x1}\n"
+        "L_2: size=6 {x1x1x12'x12',x1x12'x1x12',x1x12'x12'x1,x12'x1x1x12',x12'x1x12'x1,x12'x12'x1x1}\n"
+        "stabilization: none (multiplicity growing)\n"), "")
+    assert run(capsys, ["centraliser", "x1'x12'x12", "--group", str(path), "--radius", "1"]) == (0, (
+        "centraliser of (a^-1, 1) in ball: size=5\n"
+        "(1, 1)\n(a, 1)\n(a^-1, 1)\n(1, a)\n(1, a^-1)\n"), "")
+    assert run(capsys, ["powers", "x13", "--group", str(path), "--nmax", "2"]) == (
+        2, "", "error: cannot read a letter at position 2 in 'x13'\n")
+
+
 def test_word_tool_primitive_root(capsys):
     code, out, _ = run(capsys, ["word-tool", "primitive-root", "abab"])
     assert code == 0 and out == "ab ^ 2\n"

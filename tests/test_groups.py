@@ -13,7 +13,6 @@ from geodetic import (
     ProductSpec,
     TableSpec,
     cayley_ball,
-    element_norm,
     is_complete_bipartite,
     parse_group_file,
     validate_genset,
@@ -272,7 +271,7 @@ def test_cayley_ball_example_structure():
     assert ball.vertex_count == 6
     assert is_complete_bipartite(ball.graph) == (3, 3)
     assert ball.norms == [0, 1, 1, 1, 2, 2]
-    assert element_norm(ball, 4) == 2
+    assert ball.norms[ball.vertex_of(4)] == 2
 
 
 def test_ball_norms_match_graph_distances():
@@ -477,14 +476,6 @@ def test_vertex_of_outside_ball():
     ball = cayley_ball(spec, gens, 3)
     with pytest.raises(ValueError):
         ball.vertex_of(9)
-
-
-def test_reached_fraction():
-    spec, gens = cyclic_odd_powers(4)
-    ball = cayley_ball(spec, gens, 1)
-    assert ball.reached_fraction() == pytest.approx(5 / 8)
-    fspec, fgens = free_group(1)
-    assert cayley_ball(fspec, fgens, 2).reached_fraction() is None
 
 
 def test_parse_group_file_variants():

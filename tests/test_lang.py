@@ -336,7 +336,6 @@ def test_power_language_z2z2(z2z2_r16):
     assert stab.s == ("a", "b") and stab.t == ()
     for c in range(9):
         assert stab.words_at(c) == set(report.languages[c])
-    assert stab.multiplicity == 1
 
 
 def test_power_language_growing_multiplicity(zxz2_r7):

@@ -2,17 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from geodetic import (
-    Alphabet,
     WordEquationError,
     commuting_common_root,
     format_word,
-    free_reduce,
     parse_word,
-    primed_alphabet,
     primitive_root,
     solve_zx_eq_yz,
 )
-from geodetic.words import EMPTY_WORD, factors_of_length, is_factor
 
 from oracles import brute_primitive_root
 
@@ -28,21 +24,10 @@ def test_parse_and_format():
 
 
 def test_parse_with_alphabet_longest_match():
-    alpha = Alphabet(frozenset({"a1", "a3", "a13"}), {"a1": "a3", "a3": "a1", "a13": "a13"})
-    assert parse_word("a13a1", alpha) == ("a13", "a1")
+    letters = {"a1", "a3", "a13"}
+    assert parse_word("a13a1", letters) == ("a13", "a1")
     with pytest.raises(ValueError):
-        parse_word("a2", alpha)
-
-
-def test_alphabet_requires_involution():
-    with pytest.raises(ValueError):
-        Alphabet(frozenset({"a", "b"}), {"a": "b", "b": "a'"})
-
-
-def test_primed_alphabet():
-    alpha = primed_alphabet(["a", "b"])
-    assert alpha.inv("a") == "a'"
-    assert alpha.inv("b'") == "b"
+        parse_word("a2", letters)
 
 
 @given(st.lists(st.sampled_from("ab"), min_size=1, max_size=12).map(tuple))
@@ -100,29 +85,3 @@ def test_common_root_on_generated_powers(u, i, j):
     assert x == root * (len(x) // len(root))
     assert y == root * (len(y) // len(root))
 
-
-def test_free_reduce():
-    alpha = primed_alphabet(["a", "b"])
-    assert free_reduce(("a", "a'"), alpha) == ()
-    assert free_reduce(("a", "b", "b'", "a'"), alpha) == ()
-    assert free_reduce(("a", "b", "a"), alpha) == ("a", "b", "a")
-    with pytest.raises(ValueError):
-        free_reduce(("c",), alpha)
-
-
-@given(st.lists(st.sampled_from(["a", "a'", "b", "b'"]), max_size=20).map(tuple))
-def test_free_reduce_idempotent_and_parity(w):
-    alpha = primed_alphabet(["a", "b"])
-    r = free_reduce(w, alpha)
-    assert free_reduce(r, alpha) == r
-    assert (len(w) - len(r)) % 2 == 0
-
-
-def test_factors():
-    w = ("a", "b", "a")
-    assert is_factor(EMPTY_WORD, w)
-    assert is_factor(("b", "a"), w)
-    assert not is_factor(("a", "a"), w)
-    assert factors_of_length(w, 2) == {("a", "b"), ("b", "a")}
-    assert factors_of_length(w, 0) == {EMPTY_WORD}
-    assert factors_of_length(w, 5) == set()
