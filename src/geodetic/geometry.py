@@ -542,9 +542,10 @@ def enumerate_triangles(host: Graph | CayleyBall, scope: Optional[SearchScope] =
     skipped counts the untrusted triples passed over before the scan stopped.
     max_geodesic_pairs bounds only the ladder pairing, so
     geodesic_pairs_scanned stays 0.  Each ordered side (a, b) is enumerated
-    once per scan, off the distance row of min(a, b), and its geodesics are
-    kept with their index-1.. tail sets.  So rows are read only for the
-    corners x and y, one BFS per vertex per scan.
+    once per scan, and its geodesics are kept with their index-1.. tail
+    sets.  It is read off the distance row of b when b <= a or that row is
+    already held, else off the interval of a and b in the row of a.  So rows
+    are read only for the corners x and y, one BFS per vertex per scan.
     """
     scope = scope or SearchScope()
     g, pair_filter = _graph_and_filter(host)
@@ -556,7 +557,7 @@ def enumerate_triangles(host: Graph | CayleyBall, scope: Optional[SearchScope] =
         """The geodesics a -> b and their index-1.. tails, enumerated at the first call."""
         got = sides.get((a, b))
         if got is None:
-            if b <= a:
+            if b <= a or b in rows:
                 d, to_b = rows[b][a], rows[b].__getitem__
             else:
                 d, to_b = rows[a][b], _interval(g.adj, rows[a], b).get

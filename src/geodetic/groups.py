@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .graphs import Graph, k_geodetic_of_rows, min_k_of_rows
 from .words import Word
@@ -44,6 +44,11 @@ class GroupSpec:
 
     def multiply(self, a: Element, b: Element) -> Element:
         raise NotImplementedError
+
+    def right_action(self, s: Element) -> Callable[[Element], Element]:
+        """The map a ↦ a·s for the fixed element s."""
+        multiply = self.multiply
+        return lambda a: multiply(a, s)
 
     def inverse(self, a: Element) -> Element:
         raise NotImplementedError
@@ -92,6 +97,10 @@ class CyclicSpec(GroupSpec):
 
     def multiply(self, a, b):
         return (a + b) % self.n if self.n else a + b
+
+    def right_action(self, s):
+        n = self.n
+        return (lambda a: (a + s) % n) if n else s.__add__
 
     def inverse(self, a):
         return (-a) % self.n if self.n else -a
@@ -347,20 +356,10 @@ class PlainSpec(GroupSpec):
 
         Each syllable of b merges into the last one of the result when both
         come from one factor, and a syllable that reduces to exponent 0
-        drops out, which may expose another syllable to merge with.  A
-        one-syllable b, as every generator of a plain group file, takes a
-        tuple path with no list.
+        drops out, which may expose another syllable to merge with.  Ball
+        closure multiplies by generators through right_action instead.
         """
         orders = self._orders
-        if len(b) == 1:
-            ((factor, e),) = b
-            if a and a[-1][0] == factor:
-                e += a[-1][1]
-                a = a[:-1]
-            o = orders[factor]
-            if o:
-                e %= o
-            return a + ((factor, e),) if e else a
         out = list(a)
         for factor, e in b:
             if out and out[-1][0] == factor:
@@ -371,6 +370,28 @@ class PlainSpec(GroupSpec):
             if e:
                 out.append((factor, e))
         return tuple(out)
+
+    def right_action(self, s):
+        """a ↦ a·s; a one-syllable s, as every generator of a plain group
+        file, gets a closure with its factor, exponent, order and syllable
+        bound in, which touches only the last syllable of a."""
+        if len(s) != 1:
+            return super().right_action(s)
+        ((factor, e),) = s
+        o = self._orders[factor]
+        if o:
+            e %= o
+        syllable = ((factor, e),) if e else ()
+
+        def act(a):
+            if a and a[-1][0] == factor:
+                x = a[-1][1] + e
+                if o:
+                    x %= o
+                return a[:-1] + ((factor, x),) if x else a[:-1]
+            return a + syllable
+
+        return act
 
     def inverse(self, a):
         return tuple((f, self._canonical_exp(f, -e)) for f, e in reversed(a))
@@ -509,11 +530,11 @@ class CayleyBall:
     i-th generator s_i of genset, or -1 when that product lies outside the
     ball, which happens only when norms[u] == radius.  steps[i][u] = v
     goes with steps[j][v] = u for the inverse s_j of s_i, and cayley_ball
-    fills both from one product.  The graph is the subgraph induced on the
-    ball, so distances between two vertices u, v are exact whenever
-    norms[u] + norms[v] <= radius (every group geodesic between such a pair
-    stays inside the ball); complete balls, where the whole group was
-    reached, are exact everywhere.  The graph is built from
+    fills both from one right action of s_i.  The graph is the subgraph
+    induced on the ball, so distances between two vertices u, v are exact
+    whenever norms[u] + norms[v] <= radius (every group geodesic between
+    such a pair stays inside the ball); complete balls, where the whole
+    group was reached, are exact everywhere.  The graph is built from
     steps on its first read, so code that reads only elements, norms and
     steps (the language commands, edges, edge_count, min_geodetic_k and
     is_k_geodetic) never builds it.
@@ -624,12 +645,15 @@ def cayley_ball(
 ) -> CayleyBall:
     """Breadth-first closure of the identity under the generating set.
 
-    Each edge costs one multiply: u·s = v also records v·s⁻¹ = u in
-    CayleyBall.steps, and a step filled that way is never multiplied.  The
-    vertices come in the same order either way.  budget caps the number of
-    vertices (default 10^6, or the GEODETIC_BALL_BUDGET environment variable,
-    which raises ValueError unless it is an integer of at least 1); exceeding
-    it raises BallBudgetError before memory runs away.
+    Each edge costs one right action, from spec.right_action of its
+    generator: u·s = v also gives the step v·s⁻¹ = u, which waits in a
+    per-generator dict until v's turn, and a step known that way is never
+    computed.  Each product is hashed once: index.setdefault adds it below
+    the radius, and index.get only looks it up on the last sphere.  The step
+    rows grow one entry per vertex in processing order.  budget caps the
+    number of vertices (default 10^6, or the GEODETIC_BALL_BUDGET environment
+    variable, which raises ValueError unless it is an integer of at least
+    1); exceeding it raises BallBudgetError before memory runs away.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -645,32 +669,34 @@ def cayley_ball(
     elements: list[Element] = [identity]
     index: dict[Element, int] = {identity: 0}
     norms = [0]
-    steps: list[list[int]] = [[None] for _ in genset.elements]  # None: not yet known
-    row_of = dict(zip(genset.labels, steps))
-    moves = [(row, s, row_of[genset.inverse_label[label]])
-             for (label, s), row in zip(genset.items(), steps)]
-    for gu in elements:  # elements grows while it is read
-        # index's own int, not a counter's: the back steps share it.
-        u = index[gu]
+    steps: list[list[int]] = [[] for _ in genset.elements]
+    # known[i][v] = u when u·s_i⁻¹ = v was found before v's turn; popped at
+    # v's turn, so it holds only the edges still open at one end.
+    known: list[dict[int, int]] = [{} for _ in genset.elements]
+    known_of = dict(zip(genset.labels, known))
+    moves = [(row.append, spec.right_action(s), here.pop, known_of[genset.inverse_label[label]])
+             for (label, s), row, here in zip(genset.items(), steps, known)]
+    for u, gu in enumerate(elements):  # elements grows while it is read
         layer = norms[u] + 1
-        for row, s, back in moves:
-            if row[u] is not None:  # filled from the other end of its edge
-                continue
-            h = spec.multiply(gu, s)
-            v = index.get(h, -1)
-            if v < 0 and layer <= radius:
-                if len(elements) >= budget:
-                    raise BallBudgetError(
-                        f"ball exceeds the {budget}-vertex budget at radius {layer}"
-                    )
-                v = index[h] = len(elements)
-                elements.append(h)
-                norms.append(layer)
-                for r in steps:
-                    r.append(None)
-            row[u] = v
-            if v >= 0:
-                back[v] = u
+        for append, act, pop, back in moves:
+            v = pop(u, None)
+            if v is None:
+                h = act(gu)
+                if layer > radius:
+                    v = index.get(h, -1)
+                else:
+                    n = len(elements)
+                    v = index.setdefault(h, n)
+                    if v == n:
+                        if n >= budget:
+                            raise BallBudgetError(
+                                f"ball exceeds the {budget}-vertex budget at radius {layer}"
+                            )
+                        elements.append(h)
+                        norms.append(layer)
+                if v >= 0:
+                    back[v] = u
+            append(v)
     complete = max(norms) < radius or spec.order() == len(elements)
     return CayleyBall(spec, genset, radius, elements, index, norms, complete, steps)
 

@@ -83,26 +83,29 @@ def minimal_forbidden_factors(ball: CayleyBall, e: int) -> ForbiddenSet:
 
     A word is minimal when it is non-geodesic and both maximal proper
     factors are geodesic (factors of geodesics are geodesic, so this covers
-    every proper factor).  Grown layer by layer over geodesic words only.
-    The walk steps only from vertices of norm < e and compares norms <= e,
-    so the answer depends only on the radius-e ball: on any larger ball,
-    whose radius-e prefix is the same, it is the same.
+    every proper factor).  Grown layer by layer over geodesic words only,
+    each carried with its vertex and the vertex of its suffix w[1:], so the
+    suffix test of an extension w·s is one norm lookup at that suffix
+    vertex's step under s.  The walk steps only from vertices of norm < e
+    and compares norms <= e, so the answer depends only on the radius-e
+    ball: on any larger ball, whose radius-e prefix is the same, it is the
+    same.
     """
     check_factor_length(e, ball.radius)
+    norms = ball.norms
     moves = sorted(zip(ball.genset.labels, ball.steps))
     forbidden: list[Word] = []
-    layer: list[tuple[Word, int]] = [(EMPTY_WORD, 0)]
-    for length in range(1, e + 1):
-        prev_words = {w for w, _ in layer}
-        new_layer: list[tuple[Word, int]] = []
-        for w, u in layer:
+    # (w, vertex of w, vertex of w[1:]); every generator has norm 1.
+    layer = [((letter,), row[0], 0) for letter, row in moves]
+    for length in range(2, e + 1):
+        new_layer = []
+        for w, u, t in layer:
             for letter, row in moves:
-                x = w + (letter,)
                 v = row[u]
-                if ball.norms[v] == length:
-                    new_layer.append((x, v))
-                elif x[1:] in prev_words:
-                    forbidden.append(x)
+                if norms[v] == length:
+                    new_layer.append((w + (letter,), v, row[t]))
+                elif norms[row[t]] == length - 1:
+                    forbidden.append(w + (letter,))
         layer = new_layer
     return ForbiddenSet(e, frozenset(forbidden))
 
@@ -223,26 +226,34 @@ def check_locally_excluding(
     if automaton.start == automaton.dead:
         # λ is forbidden yet geodesic.
         return False, EMPTY_WORD
-    queue: deque[tuple[Word, int, int]] = deque()
-    queue.append((EMPTY_WORD, 0, automaton.start))
-    while queue:
-        w, u, state = queue.popleft()
-        if len(w) == test_len:
-            continue
-        length = len(w) + 1
-        for letter, row in moves:
-            x = w + (letter,)
-            v = row[u]
-            st = automaton.step(state, letter)
-            geodesic = ball.norms[v] == length
-            excluded = st == automaton.dead
-            if geodesic and excluded:
-                return False, x
-            if not geodesic and not excluded:
-                return False, x
-            if geodesic:
-                queue.append((x, v, st))
+    norms, transitions, dead = ball.norms, automaton.transitions, automaton.dead
+    # (vertex, automaton state, path) for each geodesic word of one length,
+    # in breadth-first order; path is (path of the word minus its last
+    # letter, that letter), and None for λ.
+    layer: list[tuple[int, int, Optional[tuple]]] = [(0, automaton.start, None)]
+    for length in range(1, test_len + 1):
+        new_layer = []
+        for u, state, path in layer:
+            goto = transitions[state]
+            for letter, row in moves:
+                v = row[u]
+                st = goto[letter]
+                geodesic = norms[v] == length
+                if geodesic == (st == dead):
+                    return False, _path_word((path, letter))
+                if geodesic:
+                    new_layer.append((v, st, (path, letter)))
+        layer = new_layer
     return True, None
+
+
+def _path_word(path: tuple) -> Word:
+    """The word spelled by a (parent, letter) chain of check_locally_excluding."""
+    letters = []
+    while path is not None:
+        path, letter = path
+        letters.append(letter)
+    return tuple(reversed(letters))
 
 
 @dataclass(frozen=True)

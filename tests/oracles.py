@@ -10,9 +10,10 @@ TriangleReport per bigon or triangle, and expanded() turns a library scan's
 records into the same list.  The report-line oracles format each ladder,
 bigon or triangle report as one line of its own.  The language oracles are
 the earlier, longer forms of the stabilisation fit and the factor automaton,
-with every pruning step spelled out, and the power languages read off the
+with every pruning step spelled out, the power languages read off the
 ball graph's geodesic enumeration, each path's labels found by multiplying
-in the group.
+in the group, and the forbidden-factor and local-exclusion walks over whole
+words rather than the vertices of their suffixes and parents.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from geodetic.geometry import (
 )
 from geodetic.graphs import Graph, PathSeq, build_graph, enumerate_geodesics
 from geodetic.groups import BallBudgetError, CayleyBall, word_to_element
+from geodetic.lang import build_factor_automaton
 
 
 def dfs_walks_of_length(g: Graph, u: int, v: int, n: int) -> list[tuple[int, ...]]:
@@ -332,31 +334,36 @@ def naive_bigons(host, scope) -> Coverage:
 
 
 def naive_triangles(host, scope) -> Coverage:
-    """enumerate_triangles from the full list of corner triples x <= y <= z.
+    """enumerate_triangles over the corner triples x <= y <= z, walked in order.
 
-    The scan stops at the first admitted triple past the cap max_pairs, so
-    skipped counts the untrusted triples before that point.
+    The walk passes over triples with a corner the others cannot reach and
+    stops at the first admitted triple past the cap max_pairs, so skipped
+    counts the untrusted triples before that point.  Each corner's BFS row
+    is computed on first use.
     """
     g, trusted = _graph_and_trust(host)
     n = g.vertex_count
-    dist = [bfs_distances(g, x) for x in range(n)]
-    rows = [
-        ((x, y, z), trusted(x, y) and trusted(y, z) and trusted(x, z))
-        for x in range(n)
-        for y in range(x, n)
-        for z in range(y, n)
-        if None not in (dist[x][y], dist[y][z], dist[x][z])
-    ]
-    admitted = [i for i, (_, ok) in enumerate(rows) if ok]
+    dist: dict[int, list[Optional[int]]] = {}
+
+    def row(x: int) -> list[Optional[int]]:
+        if x not in dist:
+            dist[x] = bfs_distances(g, x)
+        return dist[x]
+
     cov = Coverage()
-    stop = len(rows)
-    if scope.max_pairs is not None and len(admitted) > scope.max_pairs:
-        stop = admitted[scope.max_pairs]
-        cov.exhausted = True
-    cov.skipped = sum(1 for _, ok in rows[:stop] if not ok)
-    for (x, y, z), ok in rows[:stop]:
-        if not ok:
+    admitted = []
+    triples = ((x, y, z) for x in range(n) for y in range(x, n) for z in range(y, n))
+    for x, y, z in triples:
+        if None in (row(x)[y], row(y)[z], row(x)[z]):
             continue
+        if not (trusted(x, y) and trusted(y, z) and trusted(x, z)):
+            cov.skipped += 1
+        elif scope.max_pairs is not None and len(admitted) == scope.max_pairs:
+            cov.exhausted = True
+            break
+        else:
+            admitted.append((x, y, z))
+    for x, y, z in admitted:
         cov.pairs_scanned += 1
         alphas = _naive_geodesics(g, x, y, scope, cov)
         betas = _naive_geodesics(g, y, z, scope, cov)
@@ -592,3 +599,57 @@ def push_product(spec, a, b) -> tuple:
             if e:
                 out.append((factor, e))
     return tuple(out)
+
+
+def naive_minimal_forbidden_factors(ball: CayleyBall, e: int) -> frozenset:
+    """The minimal forbidden factors of length <= e, from sets of words.
+
+    The earlier minimal_forbidden_factors loop: each layer keeps its
+    geodesic words, and an extension w·s that is not geodesic is minimal
+    when its suffix (w·s)[1:] is among the geodesic words one shorter.
+    """
+    moves = sorted(zip(ball.genset.labels, ball.steps))
+    forbidden = []
+    layer = [((), 0)]
+    for length in range(1, e + 1):
+        prev_words = {w for w, _ in layer}
+        new_layer = []
+        for w, u in layer:
+            for letter, row in moves:
+                x = w + (letter,)
+                v = row[u]
+                if ball.norms[v] == length:
+                    new_layer.append((x, v))
+                elif x[1:] in prev_words:
+                    forbidden.append(x)
+        layer = new_layer
+    return frozenset(forbidden)
+
+
+def naive_check_locally_excluding(ball: CayleyBall, forbidden, test_len: int):
+    """check_locally_excluding as a deque BFS over (word, vertex, state).
+
+    Every geodesic word up to test_len is extended by each letter in label
+    order; the first extension whose geodesicity disagrees with the factor
+    automaton of forbidden is the counterexample.
+    """
+    moves = sorted(zip(ball.genset.labels, ball.steps))
+    automaton = build_factor_automaton(forbidden, ball.genset.labels)
+    if automaton.start == automaton.dead:
+        return False, ()
+    queue = deque([((), 0, automaton.start)])
+    while queue:
+        w, u, state = queue.popleft()
+        if len(w) == test_len:
+            continue
+        for letter, row in moves:
+            x = w + (letter,)
+            v = row[u]
+            st = automaton.step(state, letter)
+            geodesic = ball.norms[v] == len(x)
+            excluded = st == automaton.dead
+            if geodesic == excluded:
+                return False, x
+            if geodesic:
+                queue.append((x, v, st))
+    return True, None

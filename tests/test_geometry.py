@@ -760,8 +760,9 @@ def test_triangle_scan_enumerates_each_side_once(monkeypatch, host):
 
 
 def test_triangle_scan_reads_rows_only_for_the_first_two_corners(monkeypatch):
-    """Each side a -> b is read off the row of min(a, b), so with x <= y <= z
-    no BFS is run from a vertex that is only ever a z."""
+    """Each side a -> b is read off the row of a or b, and off the row of b
+    only when b <= a or that row is held, so with x <= y <= z no BFS is run
+    from a vertex that is only ever a z.  The scan matches the oracle."""
     ball = cayley_ball(*zoo.free_group(2), 6)
     sources = []
     original = Graph.dag
@@ -776,6 +777,7 @@ def test_triangle_scan_reads_rows_only_for_the_first_two_corners(monkeypatch):
     corners = {v for r in cov.found for v in (r.alphas[0].start, r.alphas[0].end)}
     assert sources and set(sources) <= corners
     assert len(sources) == len(set(sources))
+    assert expanded(cov) == naive_triangles(ball, SearchScope())
 
 
 def test_bigon_and_triangle_scans_do_not_validate_sides(monkeypatch):

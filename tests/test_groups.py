@@ -90,6 +90,9 @@ def test_group_axioms_on_samples(spec):
         assert spec.multiply(spec.inverse(a), a) == e
     for a in elems:
         for b in elems:
+            # Z and Z_n have their own right actions, the table and product
+            # groups the default one; see also the plain-group oracle test.
+            assert spec.right_action(b)(a) == spec.multiply(a, b)
             for c in elems[:5]:
                 assert spec.multiply(spec.multiply(a, b), c) == spec.multiply(
                     a, spec.multiply(b, c)
@@ -438,13 +441,18 @@ def test_cayley_ball_matches_two_pass_oracle(group, radius, budget):
         return
     elements, norms, complete, graph, edge_labels = want
     calls = []
-    multiply = spec.multiply
-    spec.multiply = lambda a, b: calls.append(1) or multiply(a, b)
+    right_action = spec.right_action
+
+    def counted(s):
+        act = right_action(s)
+        return lambda a: calls.append(1) or act(a)
+
+    spec.right_action = counted
     try:
         ball = cayley_ball(spec, gens, radius, budget=budget)
     finally:
-        del spec.multiply
-    # One multiply per edge: u·s = v also fills the step v·s^-1 = u.
+        del spec.right_action
+    # One right action per edge: u·s = v also fills the step v·s^-1 = u.
     assert len(calls) == ball.vertex_count * len(gens) - ball.edge_count
     assert ball.elements == elements
     assert ball.norms == norms
@@ -553,7 +561,7 @@ def plain_products(draw):
     )
     a = push_product(spec, (), draw(syllables))
     tail = draw(syllables)
-    # One syllable, as a generator: the tuple path of multiply.
+    # One syllable, as a generator: the closure of right_action.
     factor = a[-1][0] if a and draw(st.booleans()) else draw(st.integers(0, spec.factor_count - 1))
     b = draw(st.sampled_from([
         ((factor, draw(st.integers(-7, 7))),),
@@ -574,6 +582,8 @@ def test_plain_multiply_matches_push_oracle(case):
     spec.check_element(got)
     if b == spec.inverse(a):
         assert got == ()
+    if len(b) == 1:
+        assert spec.right_action(b)(a) == got
 
 
 @given(st.data())

@@ -31,8 +31,10 @@ from geodetic.zoo import free_group, infinite_cyclic, plain_group, z2_star_z2, z
 
 from oracles import (
     has_factor_naive,
+    naive_check_locally_excluding,
     naive_factor_automaton,
     naive_fit_tail,
+    naive_minimal_forbidden_factors,
     naive_power_languages,
 )
 
@@ -146,6 +148,25 @@ def test_language_of_the_radius_e_ball_is_that_of_any_larger_ball(group, e):
         got = minimal_forbidden_factors(cayley_ball(spec, gens, radius), e)
         assert got == want
         assert build_factor_automaton(got, gens.labels).table_lines() == table
+
+
+@pytest.mark.parametrize("group", [group for _, group, _ in RADIUS_E_GROUPS],
+                         ids=[name for name, _, _ in RADIUS_E_GROUPS])
+@pytest.mark.parametrize("radius", range(1, 7))
+def test_language_walks_match_the_word_set_oracles(group, radius):
+    spec, gens = group()
+    ball = cayley_ball(spec, gens, radius)
+    for e in range(1, radius + 1):
+        forbidden = minimal_forbidden_factors(ball, e)
+        assert forbidden.words == naive_minimal_forbidden_factors(ball, e)
+    assert check_locally_excluding(ball, forbidden, radius) == (True, None)
+    # Without one of its words the set fails, at the first counterexample.
+    trials = [forbidden.words] + [forbidden.words - {w} for w in forbidden.sorted_words()]
+    for i, words in enumerate(trials):
+        for test_len in range(radius + 1):
+            got = check_locally_excluding(ball, words, test_len)
+            assert got == naive_check_locally_excluding(ball, words, test_len)
+        assert got[0] == (i == 0)
 
 
 def test_automaton_knowns():
