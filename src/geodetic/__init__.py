@@ -45,7 +45,7 @@ from .groups import (
 from .geometry import (
     BigonRecord,
     Coverage,
-    LadderReport,
+    LadderRecord,
     PairStats,
     SearchScope,
     TriangleRecord,

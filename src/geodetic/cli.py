@@ -147,17 +147,20 @@ def _print_found(cov: Coverage, chunks, scanned: bool) -> None:
 
 
 def _ladder_lines(cov: Coverage) -> Iterator[str]:
-    """One line per ladder; the endpoint text of each geodesic and the tail of
-    each (length, height) are made once."""
+    """One chunk per ladder record, one line per ladder; the endpoint text of
+    each geodesic and the tail of each (length, height) are made once."""
     ends, tails = {}, {}
     for r in cov.found:
-        v1, v2, key = r.gamma1.vertices, r.gamma2.vertices, (len(r.gamma1.vertices), r.height)
-        e1 = ends.get(v1) or ends.setdefault(v1, f"{v1[0]}->{v1[-1]}")
-        e2 = ends.get(v2) or ends.setdefault(v2, f"{v2[0]}->{v2[-1]}")
-        tail = tails.get(key) or tails.setdefault(key, (
-            f" len={key[0] - 1} m={r.m} height={r.height} bound={r.bound} "
-            f"within={'true' if r.within_bound else 'false'}\n"))
-        yield f"ladder: p1={e1} p2={e2}{tail}"
+        lines, v1 = [], r.gamma1.vertices
+        head = f"ladder: p1={v1[0]}->{v1[-1]} p2="
+        for p2, height in zip(r.partners, r.heights):
+            v2, key = p2.vertices, (len(v1), height)
+            end = ends.get(v2) or ends.setdefault(v2, f"{v2[0]}->{v2[-1]}")
+            tail = tails.get(key) or tails.setdefault(key, (
+                f" len={key[0] - 1} m={r.m} height={height} bound={r.bound} "
+                f"within={'true' if height <= r.bound else 'false'}\n"))
+            lines.append(f"{head}{end}{tail}")
+        yield "".join(lines)
 
 
 def _flag_counts(cov: Coverage) -> str:
@@ -224,7 +227,8 @@ def cmd_ladders(args) -> int:
     host = _load_host(args)
     k = args.k if args.k is not None else _min_k(host)[0]
     cov = find_ladders(host, args.m, k, scope)
-    print(f"ladders: m={args.m} k={k} bound={ladder_bound_A(args.m, k)} found={len(cov.found)}")
+    found = sum(len(r.heights) for r in cov.found)
+    print(f"ladders: m={args.m} k={k} bound={ladder_bound_A(args.m, k)} found={found}")
     _print_found(cov, _ladder_lines(cov), True)
     return 0
 

@@ -10,17 +10,19 @@ width m and height r is an asynchronously disjoint pair with a_m = r.
 The ladder and bigon scans take their vertex pairs, closest first, from BFS
 rounds that grow one layer per vertex and round only as far as the pair cap
 needs, and read each pair's geodesics off them; they ask Graph.dag for nothing.
-The ladder pairing compares the geodesics of a length bucket on bit masks:
-one AND decides asynchronous disjointness and one popcount gives a_m, from
-a BFS of depth m per vertex, so find_ladders reads no distance row.  A full
-PairStats reads the distance rows of its first walk's vertices, each row at
-most once per pair_stats or iter_disjoint_pairs call, and fellow_travel_bound
-does the same.  The bigon and triangle scans classify their enumerated
-geodesics without validating them again.  The triangle scan enumerates each
-ordered side once per scan, off the distance row of its smaller end and the
-interval between the ends, so it runs one BFS per corner x or y of its
-triples.  Both scans keep one record per vertex pair or corner triple: its
-geodesics and a tuple of degenerate flags, one per bigon or triangle.
+The ladder pairing takes a length bucket a row at a time: a transposed index,
+one bit per geodesic for each (vertex, index), gives a row's disjoint
+partners and, with a BFS of depth m per vertex, their a_m in a few bit
+operations per index, so find_ladders reads no distance row; it keeps one
+record per row with a ladder.  A full PairStats reads the distance rows of
+its first walk's vertices, each row at most once per pair_stats or
+iter_disjoint_pairs call, and fellow_travel_bound does the same.  The
+bigon and triangle scans classify their enumerated geodesics without
+validating them again.  The triangle scan enumerates each ordered side once
+per scan, off the distance row of its smaller end and the interval between
+the ends, so it runs one BFS per corner x or y of its triples.  Both scans
+keep one record per vertex pair or corner triple: its geodesics and a tuple
+of degenerate flags, one per bigon or triangle.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement, islice
-from operator import eq
+from operator import eq, or_
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import (
@@ -185,9 +188,10 @@ class Coverage:
     from its norms, however soon the scan stops; for triangles, the
     untrusted triples passed over before the triple cap stopped the scan.
     exhausted says a cap cut the search short, a truncated geodesic list
-    included.  found holds NamedTuple records: one LadderReport per ladder;
-    for bigons, one BigonRecord per scanned pair, and for triangles, one
-    TriangleRecord per scanned triple, each with one degenerate flag per
+    included.  found holds NamedTuple records: one LadderRecord per row of
+    the ladder pairing with a ladder, holding each ladder's partner and
+    height; for bigons, one BigonRecord per scanned pair, and for triangles,
+    one TriangleRecord per scanned triple, each with one degenerate flag per
     bigon or triangle.
     """
 
@@ -196,17 +200,6 @@ class Coverage:
     geodesic_pairs_scanned: int = 0
     skipped: int = 0
     exhausted: bool = False
-
-
-class LadderReport(NamedTuple):
-    """A ladder-like structure: a disjoint geodesic pair, its width, height and A(m, k)."""
-
-    gamma1: PathSeq
-    gamma2: PathSeq
-    m: int
-    height: int
-    bound: int
-    within_bound: bool
 
 
 def _graph_and_filter(host: Graph | CayleyBall):
@@ -280,17 +273,20 @@ def iter_disjoint_pairs(
     Geodesics are enumerated per vertex pair (pairs ordered by distance then
     lexicographically, each geodesic directed from the smaller endpoint),
     bucketed by length, and paired within each bucket, so the two geodesics
-    of a pair may join different endpoint pairs.  The mask test of
-    find_ladders picks the pairs, and only those get a PairStats; each
-    vertex's distance row is read once per call.  The geodesics come from
-    enumeration, so no pair is validated again.  A width below 1 raises
+    of a pair may join different endpoint pairs.  The pairing of find_ladders
+    picks each row's disjoint partners, and only those pairs get a PairStats;
+    each vertex's distance row is read once per call.  The geodesics come
+    from enumeration, so no pair is validated again.  A width below 1 raises
     ValueError at the call, before any pair is produced.
     """
     if m < 1:
         raise ValueError("width m must be at least 1")
     rows = _Rows(_graph_and_filter(host)[0])
-    pairs = _mask_pairs(host, m, scope or SearchScope(), Coverage())
-    return ((p1, p2, _stats(rows, p1.vertices, p2.vertices, m, True)) for p1, p2, _ in pairs)
+    return (
+        (geos[i], geos[j], _stats(rows, geos[i].vertices, geos[j].vertices, m, True))
+        for geos, i, disjoint, _ in _pair_rows(host, scope or SearchScope(), Coverage())
+        for j in _bits(disjoint)
+    )
 
 
 def _sphere(adj, x: int, m: int) -> set[int]:
@@ -315,51 +311,62 @@ def _component_labels(g: Graph) -> list[int]:
     return label
 
 
-def _bucket_masks(adj, geos: list[PathSeq], m: int, spheres: dict[int, set[int]]):
-    """The masks P, X and N of each geodesic of one length bucket (see _mask_pairs);
-    spheres caches the m-sphere of each vertex across buckets."""
-    width = len(geos[0].vertices)
-    first: dict[int, int] = {}  # vertex x -> its bit (x, 0), at id(x) * width
-    for p in geos:
-        for v in p.vertices:
-            first.setdefault(v, len(first) * width)
-    near = {}  # vertex x -> the bits (y, 0) of the bucket vertices y at distance m
-    for x in first:
-        if x not in spheres:
-            spheres[x] = _sphere(adj, x, m)
-        near[x] = sum(1 << first[y] for y in spheres[x] if y in first)
-    ps, xs, ns = [], [], []
-    for p in geos:
-        at = rows = close = 0
-        for i, v in enumerate(p.vertices):
-            at |= 1 << (first[v] + i)
-            rows |= ((1 << width) - 1) << first[v]
-            close |= near[v] << i
-        ps.append(at)
-        xs.append(rows ^ at)
-        ns.append(close)
-    return ps, xs, ns
+def _bits(x: int) -> Iterator[int]:
+    """The set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
-def _mask_pairs(host, m, scope, cov):
-    """(p1, p2, a_m) for each asynchronously disjoint geodesic pair the ladder
-    pairing compares, in combinations order within each length bucket.
+def _bucket_rows(geos: list[PathSeq], take: int, sphere) -> Iterator[tuple]:
+    """(i, disjoint, close) for each row of one length bucket, under the pair cap take.
 
-    A bucket numbers its vertices 0..B-1 in first-seen order; the pair
-    (vertex x, index i) of a length-d geodesic is bit id(x)*(d+1)+i.  A
-    geodesic p has P, the bits (p(i), i); X, the bits (p(i), j) for j != i;
-    and N, the bits (x, i) of the bucket vertices x at distance m from p(i).
-    Geodesics are simple paths, so (p1, p2) is asynchronously disjoint
-    exactly when X1 & P2 == 0, and then a_m is the popcount of N1 & P2.
-    Masks are built only for buckets the cap reaches.  A disjoint pair in two
-    components raises UnreachablePairError, as its index-0 distance would.
+    Row i pairs geodesic i with the columns i+1, i+2, ... until take runs
+    out.  Only the columns the cap reaches are indexed, transposed: at[x][t]
+    has bit j when geodesic j has vertex x at index t.  Geodesics are simple
+    paths, so the bits of at[x] are disjoint and their sum holds the
+    geodesics through x; j meets p_i at distinct indices exactly when it
+    holds some p_i(t) at an index other than t.  disjoint has the bits of
+    the row's asynchronously disjoint partners.  close[t] has the bits j
+    with p_j(t) in sphere(p_i(t)), so a_m of (i, j) counts the t whose
+    close[t] has bit j; close is None when sphere is None.
+    """
+    n, width = min(len(geos), take + 1), len(geos[0].vertices)
+    at: dict[int, list[int]] = {}
+    for j, p in enumerate(geos[:n]):
+        for t, x in enumerate(p.vertices):
+            at.setdefault(x, [0] * width)[t] |= 1 << j
+    anywhere = {x: sum(row) for x, row in at.items()}
+
+    @cache
+    def near(x: int, t: int) -> int:
+        """The bits j with p_j(t) in sphere(x)."""
+        return sum(at[y][t] for y in sphere(x) if y in at)
+
+    for i in range(n - 1):
+        stop = min(n, i + 1 + take)
+        take -= stop - i - 1
+        vs = list(enumerate(geos[i].vertices))
+        bad = reduce(or_, [anywhere[x] ^ at[x][t] for t, x in vs])
+        close = None if sphere is None else [near(x, t) for t, x in vs]
+        yield i, ((1 << stop) - (2 << i)) & ~bad, close
+        if not take:
+            break
+
+
+def _pair_rows(host, scope: SearchScope, cov: Coverage, sphere=None):
+    """(geos, i, disjoint, close) for each row of the ladder pairing (see
+    _bucket_rows), the buckets' pairs capped together by max_geodesic_pairs.
+
+    A disjoint pair in two components raises UnreachablePairError, as its
+    index-0 distance would, after its row's earlier partners come out.
     """
     g = _graph_and_filter(host)[0]
     buckets: dict[int, list[PathSeq]] = {}
     for d, geos in _pair_geodesics(host, scope, cov):
         buckets.setdefault(d, []).extend(geos)
     room = scope.max_geodesic_pairs
-    spheres: dict[int, set[int]] = {}
     label = _component_labels(g)
     # The pairs arrive by distance, so the buckets are in length order.
     for geos in buckets.values():
@@ -373,36 +380,46 @@ def _mask_pairs(host, m, scope, cov):
         if not take:
             continue
         cov.geodesic_pairs_scanned += take
-        ps, xs, ns = _bucket_masks(g.adj, geos, m, spheres)
-        comps = [label[p.vertices[0]] for p in geos]
-        for i in range(n - 1):
-            stop = min(n, i + 1 + take)
-            take -= stop - i - 1
-            x1, n1, c1, p1 = xs[i], ns[i], comps[i], geos[i]
-            for p2_bits, c2, p2 in zip(ps[i + 1 : stop], comps[i + 1 : stop], geos[i + 1 : stop]):
-                if not x1 & p2_bits:
-                    if c1 != c2:
-                        raise UnreachablePairError(
-                            f"no path between vertices {p1.vertices[0]} and {p2.vertices[0]}"
-                        )
-                    yield p1, p2, (n1 & p2_bits).bit_count()
-            if not take:
-                break
+        within: dict[int, int] = {}  # component label -> the bits of its columns
+        for j, p in enumerate(geos[: take + 1]):
+            within[label[p.vertices[0]]] = within.get(label[p.vertices[0]], 0) | 1 << j
+        for i, disjoint, close in _bucket_rows(geos, take, sphere):
+            across = disjoint & ~within[label[geos[i].vertices[0]]]
+            if across:
+                j = (across & -across).bit_length() - 1
+                yield geos, i, disjoint & ((1 << j) - 1), close
+                raise UnreachablePairError(
+                    f"no path between vertices {geos[i].vertices[0]} and {geos[j].vertices[0]}"
+                )
+            yield geos, i, disjoint, close
+
+
+class LadderRecord(NamedTuple):
+    """The ladders (gamma1, partner) of one row of the pairing: its partners in
+    pairing order, the height a_m >= 1 of each, the width m and A(m, k); a
+    ladder is within its bound when its height is at most bound."""
+
+    gamma1: PathSeq
+    partners: tuple
+    heights: tuple
+    m: int
+    bound: int
 
 
 def find_ladders(
     host: Graph | CayleyBall, m: int, k_verified: int, scope: Optional[SearchScope] = None
 ) -> Coverage:
-    """Scoped search for width-m ladder-like structures.
+    """Scoped search for width-m ladder-like structures, one LadderRecord per
+    row of the pairing that has a ladder.
 
     k_verified is the caller-certified geodeticity constant of the host; it
     only feeds the reported bound A(m, k).  The search pairs geodesics as
-    iter_disjoint_pairs does, on bit masks: one AND decides disjointness and
-    one popcount gives a_m, so no distance row is read and no PairStats is
-    built.  Every report's pair is asynchronously disjoint with height
-    a_m >= 1.  For a CayleyBall only trusted pairs enter the scan and the
-    skipped ones are counted.  A width below 1 raises ValueError before
-    anything else.
+    iter_disjoint_pairs does, a row at a time on bit sets: each row's
+    disjoint partners and their closeness come from a transposed index of
+    its length bucket and the m-spheres of its vertices, so no distance row
+    is read and no PairStats is built.  For a CayleyBall only trusted pairs
+    enter the scan and the skipped ones are counted.  A width below 1 raises
+    ValueError before anything else.
     """
     if m < 1:
         raise ValueError("width m must be at least 1")
@@ -410,9 +427,20 @@ def find_ladders(
         raise ValueError("k_verified must be at least 1")
     bound = ladder_bound_A(m, k_verified)
     cov = Coverage()
-    for p1, p2, a_m in _mask_pairs(host, m, scope or SearchScope(), cov):
-        if a_m:
-            cov.found.append(LadderReport(p1, p2, m, a_m, bound, a_m <= bound))
+    adj = _graph_and_filter(host)[0].adj
+    sphere = cache(lambda x: _sphere(adj, x, m))
+    for geos, i, disjoint, close in _pair_rows(host, scope or SearchScope(), cov, sphere):
+        ladders = disjoint & reduce(or_, close)
+        if ladders:
+            # Bit j of close[t] sits at bit t*n of stack >> j, so the popcount
+            # of (stack >> j) & ones counts the t whose close[t] has bit j.
+            n = len(geos)
+            stack = sum(c << t * n for t, c in enumerate(close))
+            ones = sum(1 << t * n for t in range(len(close)))
+            js = list(_bits(ladders))
+            partners = tuple(map(geos.__getitem__, js))
+            heights = tuple(((stack >> j) & ones).bit_count() for j in js)
+            cov.found.append(LadderRecord(geos[i], partners, heights, m, bound))
     return cov
 
 

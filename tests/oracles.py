@@ -5,10 +5,10 @@ divisor scans, and direct membership checks, free of the library's own
 algorithms so that agreement actually means something.  The scoped-search
 oracles (ladders, bigons, triangles) choose and cap their vertex pairs and
 corner triples from a full scan of plain BFS rows, classify by hand, and
-reuse only the library's geodesic enumeration.  They list one BigonReport or
-TriangleReport per bigon or triangle, and expanded() turns a library scan's
-records into the same list.  The report-line oracles format each ladder,
-bigon or triangle report as one line of its own.  The language oracles are
+reuse only the library's geodesic enumeration.  They list one LadderReport,
+BigonReport or TriangleReport per ladder, bigon or triangle, and expanded()
+turns a library scan's records into the same list.  The report-line oracles
+format each ladder, bigon or triangle report as one line of its own.  The language oracles are
 the earlier, longer forms of the stabilisation fit and the factor automaton,
 with every pruning step spelled out, the power languages read off the
 ball graph's geodesic enumeration, each path's labels found by multiplying
@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 from geodetic.geometry import (
     BigonRecord,
     Coverage,
-    LadderReport,
+    LadderRecord,
     PairStats,
     ladder_bound_A,
     validate_path,
@@ -223,6 +223,15 @@ def naive_pair_stats(g: Graph, p1, p2, m: int) -> PairStats:
     return PairStats(m, tuple(distances), a_m, c_m, disjoint, co, sync)
 
 
+class LadderReport(NamedTuple):
+    gamma1: PathSeq
+    gamma2: PathSeq
+    m: int
+    height: int
+    bound: int
+    within_bound: bool
+
+
 class BigonReport(NamedTuple):
     alpha: PathSeq
     beta: PathSeq
@@ -381,10 +390,15 @@ def naive_triangles(host, scope) -> Coverage:
 
 
 def expanded(cov: Coverage) -> Coverage:
-    """A bigon or triangle scan's Coverage with each record replaced by its reports,
-    one BigonReport or TriangleReport per degenerate flag, as the naive scans list them."""
+    """A scan's Coverage with each record replaced by its reports, one
+    LadderReport per partner or one BigonReport or TriangleReport per
+    degenerate flag, as the naive scans list them."""
     found = []
     for r in cov.found:
+        if isinstance(r, LadderRecord):
+            found.extend(LadderReport(r.gamma1, p2, r.m, h, r.bound, h <= r.bound)
+                         for p2, h in zip(r.partners, r.heights))
+            continue
         if isinstance(r, BigonRecord):
             sides, report = combinations(r.geodesics, 2), BigonReport
         else:

@@ -168,10 +168,11 @@ def test_05_ladder_heights_and_close_counts_respect_bounds():
             for m in (1, 2):
                 scan = find_ladders(host, m, k, scope)
                 bound = ladder_bound_A(m, k)
-                for report in scan.found:
-                    ladders_seen += 1
-                    assert report.within_bound
-                    assert report.height <= bound
+                for record in scan.found:
+                    assert record.bound == bound
+                    for height in record.heights:
+                        ladders_seen += 1
+                        assert 1 <= height <= bound
                 c_bound = close_bound_C(m, k)
                 for _, _, stats in iter_disjoint_pairs(host, m, scope):
                     pairs_seen += 1

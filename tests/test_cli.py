@@ -1,3 +1,4 @@
+import hashlib
 import random
 from pathlib import Path
 
@@ -314,6 +315,28 @@ def test_k_below_one_is_rejected_before_any_host_is_loaded(capsys, c4, c6, monke
         result = run(capsys, argv + ["--m", "0"])
         assert result == (2, "", "error: width m must be at least 1\n")
 
+
+ZZ_GROUP = (
+    "group product cyclic 0 cyclic 0\n"
+    "gen a pow 1, pow 0\ngen A pow -1, pow 0\ngen b pow 0, pow 1\ngen B pow 0, pow -1\n"
+)
+F2_GROUP = "group plain Z=2\ngen a word a\ngen A word a^-1\ngen b word b\ngen B word b^-1\n"
+
+
+@pytest.mark.parametrize("group, flags, sha1", [
+    (ZZ_GROUP, ["--radius", "12", "--m", "1"], "ce81c268c320389bd97f7c5b6543c06bf383e907"),
+    (ZZ_GROUP, ["--radius", "12", "--m", "2"], "da67da009edce63dd837c51bf2dc07f832f1ee14"),
+    (F2_GROUP, ["--radius", "8", "--m", "1", "--k", "1"],
+     "90b2ccc0a4bfaa834bcfd8a3c22645f155b640c9"),
+], ids=["zz-r12-m1", "zz-r12-m2", "f2-r8-m1"])
+def test_large_ladder_scans_keep_their_stdout(capsys, tmp_path, group, flags, sha1):
+    # Captured before the pairing read its length buckets a row at a time;
+    # the windows of these rows span hundreds of geodesics.
+    path = tmp_path / "host.grp"
+    path.write_text(group)
+    code, out, err = run(capsys, ["ladders", "--group", str(path), *flags])
+    assert (code, err) == (0, "")
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 SCAN_COMMANDS = [
     ["ladders", "--m", "1"],

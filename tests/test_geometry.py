@@ -2,6 +2,9 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
+from itertools import combinations, islice
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -29,7 +32,7 @@ from geodetic import cli, geometry, zoo
 from geodetic.geometry import (
     BigonRecord,
     Coverage,
-    LadderReport,
+    LadderRecord,
     TriangleRecord,
     iter_disjoint_pairs,
     pad,
@@ -172,8 +175,8 @@ def test_pair_stats_partition_invariant(seed):
 def test_find_ladders_c4():
     g = cycle_graph(4)
     scan = find_ladders(g, 1, 2)
-    assert len(scan.found) == 1
-    report = scan.found[0]
+    assert len(scan.found) == 1 and scan.found[0].heights == (2,)
+    (report,) = expanded(scan).found
     assert report.height == 2
     assert report.bound == 70
     assert report.within_bound
@@ -194,7 +197,7 @@ def test_find_ladders_bound_property_small_hosts():
     for g, k in hosts:
         for m in (1, 2):
             scan = find_ladders(g, m, k)
-            for report in scan.found:
+            for report in expanded(scan).found:
                 assert report.within_bound
                 assert report.height <= ladder_bound_A(m, k)
 
@@ -227,7 +230,7 @@ def test_scope_cap_none_disables_it(cap):
 def test_find_ladders_ball_skips_untrusted(free2_r4):
     scan = find_ladders(free2_r4, 1, 1, SearchScope(max_pairs=300))
     assert scan.skipped > 0
-    for report in scan.found:
+    for report in expanded(scan).found:
         assert report.within_bound
 
 
@@ -455,7 +458,7 @@ def test_ladder_scan_matches_oracle():
                 want = list(naive_disjoint_pairs(host, m, scope, Coverage()))
                 assert got == want
                 scan = find_ladders(host, m, k, scope)
-                assert scan == naive_find_ladders(host, m, k, scope)
+                assert expanded(scan) == naive_find_ladders(host, m, k, scope)
                 capped["max_pairs"] |= scan.exhausted and scan.pairs_scanned == scope.max_pairs
                 capped["max_geodesic_pairs"] |= (
                     scan.geodesic_pairs_scanned == scope.max_geodesic_pairs
@@ -515,20 +518,18 @@ def test_cli_scan_text_matches_report_line_oracle(monkeypatch, capsys, command):
             if command == "ladders":
                 argv += ["--k", str(k)]
                 cov = find_ladders(host, 1, k, scope)
-                reports = cov.found
             else:
                 cov = scan[command](host, scope)
-                reports = expanded(cov).found
                 if max_geodesics == 0:
                     assert cov.found and not any(r.degenerate for r in cov.found)
             assert cli.main(argv) == 0
-            assert capsys.readouterr().out == _scan_text(command, cov, reports, k)
+            assert capsys.readouterr().out == _scan_text(command, cov, expanded(cov).found, k)
 
 
 def test_scan_results_are_named_tuple_records():
     """Every entry of a scan's found is a tuple of that scan's record type."""
     fields = {
-        LadderReport: ("gamma1", "gamma2", "m", "height", "bound", "within_bound"),
+        LadderRecord: ("gamma1", "partners", "heights", "m", "bound"),
         BigonRecord: ("geodesics", "degenerate"),
         TriangleRecord: ("alphas", "betas", "gammas", "degenerate"),
     }
@@ -536,7 +537,7 @@ def test_scan_results_are_named_tuple_records():
     seen = dict.fromkeys(fields, 0)
     for host, k in _scan_hosts():
         scans = {
-            LadderReport: find_ladders(host, 1, k),
+            LadderRecord: find_ladders(host, 1, k),
             BigonRecord: enumerate_bigons(host),
             TriangleRecord: enumerate_triangles(host),
         }
@@ -571,7 +572,7 @@ def test_ladder_scan_does_not_validate_pairs(monkeypatch):
         raise AssertionError("validate_path called")
 
     monkeypatch.setattr(geometry, "validate_path", refuse)
-    assert [find_ladders(host, 1, k) for host, k in hosts] == want
+    assert [expanded(find_ladders(host, 1, k)) for host, k in hosts] == want
 
 
 @pytest.mark.parametrize("m", [0, -3])
@@ -656,13 +657,57 @@ def test_mask_pairing_matches_oracle(family, size, seed, m, caps, bucket, cap_ki
     scope = SearchScope(max_pairs=max_pairs, max_geodesics=max_geodesics, max_geodesic_pairs=cap)
     k = 1 + seed % 3
     got = find_ladders(host, m, k, scope)
-    assert got == naive_find_ladders(host, m, k, scope)
+    assert expanded(got) == naive_find_ladders(host, m, k, scope)
     # The pair cap cuts the scan exactly when a pair is left over.
     assert got.geodesic_pairs_scanned == (totals[-1] if cap is None else min(cap, totals[-1]))
     if not source_cut:
         assert got.exhausted == (cap is not None and totals[-1] > cap)
     assert list(iter_disjoint_pairs(host, m, scope)) == list(
         naive_disjoint_pairs(host, m, scope, Coverage()))
+
+
+@st.composite
+def _row_bucket(draw):
+    """A length bucket of simple paths over a few vertices, an m-sphere map
+    and a pair cap: any cap, one that cuts a row short, or the bucket's total."""
+    nv = draw(st.integers(2, 7))
+    width = draw(st.integers(1, min(nv, 4)))
+    path = st.permutations(range(nv)).map(lambda vs: PathSeq(tuple(vs[:width])))
+    geos = draw(st.lists(path, min_size=2, max_size=14))
+    spheres = {x: draw(st.frozensets(st.integers(0, nv - 1), max_size=nv)) for x in range(nv)}
+    n = len(geos)
+    total = n * (n - 1) // 2
+    kind = draw(st.sampled_from(["any", "mid-row", "total"]))
+    if kind == "total":
+        return geos, spheres, total
+    if kind == "mid-row" and n > 2:
+        i = draw(st.integers(0, n - 3))  # a row with at least two partners
+        before = sum(n - 1 - r for r in range(i))
+        return geos, spheres, before + draw(st.integers(1, n - 2 - i))
+    return geos, spheres, draw(st.integers(1, total))
+
+
+@given(_row_bucket())
+@settings(max_examples=200, deadline=None)
+def test_bucket_rows_match_brute_force_partner_sets(bucket):
+    """Each row's disjoint and close partners, and their heights, read off the
+    transposed index equal the pairwise definitions over the capped pairs."""
+    geos, spheres, take = bucket
+    want: dict[int, list[int]] = {}
+    for i, j in islice(combinations(range(len(geos)), 2), take):
+        want.setdefault(i, []).append(j)
+    got = list(geometry._bucket_rows(geos, take, spheres.__getitem__))
+    assert [i for i, _, _ in got] == list(want)
+    for i, disjoint, close in got:
+        p1 = geos[i].vertices
+        meet = [j for j in want[i] if any(
+            x == y for s, x in enumerate(p1) for t, y in enumerate(geos[j].vertices) if s != t)]
+        assert list(geometry._bits(disjoint)) == [j for j in want[i] if j not in meet]
+        heights = {j: sum(y in spheres[x] for x, y in zip(p1, geos[j].vertices))
+                   for j in geometry._bits(disjoint)}
+        assert {j: sum(c >> j & 1 for c in close) for j in heights} == heights
+        assert list(geometry._bits(disjoint & reduce(or_, close))) == [
+            j for j, h in heights.items() if h]
 
 
 def test_find_ladders_builds_no_pair_stats(monkeypatch):
@@ -675,7 +720,7 @@ def test_find_ladders_builds_no_pair_stats(monkeypatch):
 
     monkeypatch.setattr(geometry, "_Rows", refuse)
     monkeypatch.setattr(geometry, "PairStats", refuse)
-    got = [find_ladders(host, m, k, scope)
+    got = [expanded(find_ladders(host, m, k, scope))
            for host, k in hosts for scope in SCAN_SCOPES for m in (1, 2)]
     assert got == want
 
