@@ -10,6 +10,7 @@ is how much slack the bounds leave on small hosts.
 import argparse
 import random
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from geodetic import (
     SearchScope,
@@ -59,21 +60,18 @@ def build_hosts(cfg):
     return hosts
 
 
-def survey_host(name, host, cfg):
+def survey_host(name, host, cfg, scope):
     if hasattr(host, "graph"):
         k, _ = host.min_geodetic_k()
     else:
         k, _ = min_geodetic_k(host)
-    scope = SearchScope(max_pairs=cfg.max_pairs, max_geodesics=cfg.max_geodesics)
     for m in cfg.widths:
-        ladders = max_height = max_close = 0
-        for _, _, stats in iter_disjoint_pairs(host, m, scope):
-            ladders += stats.a_m >= 1
-            max_height = max(max_height, stats.a_m)
-            max_close = max(max_close, stats.c_m)
+        stats = list(map(itemgetter(2), iter_disjoint_pairs(host, m, scope)))
+        heights = list(map(attrgetter("a_m"), stats))
+        max_close = max(map(attrgetter("c_m"), stats), default=0)
         print(
-            f"{name}: k={k} m={m} ladders={ladders} "
-            f"max_height={max_height} A={ladder_bound_A(m, k)} "
+            f"{name}: k={k} m={m} ladders={len(heights) - heights.count(0)} "
+            f"max_height={max(heights, default=0)} A={ladder_bound_A(m, k)} "
             f"max_c={max_close} C={close_bound_C(m, k)}"
         )
 
@@ -87,8 +85,12 @@ def main():
     cfg = SurveyConfig(
         seed=args.seed, max_pairs=args.max_pairs, max_geodesics=args.max_geodesics
     )
+    try:
+        scope = SearchScope(max_pairs=cfg.max_pairs, max_geodesics=cfg.max_geodesics)
+    except ValueError as exc:
+        parser.error(str(exc))
     for name, host in build_hosts(cfg):
-        survey_host(name, host, cfg)
+        survey_host(name, host, cfg, scope)
 
 
 if __name__ == "__main__":

@@ -14,9 +14,11 @@ The ladder pairing takes a length bucket a row at a time: a transposed index,
 one bit per geodesic for each (vertex, index), gives a row's disjoint
 partners and, with a BFS of depth m per vertex, their a_m in a few bit
 operations per index, so find_ladders reads no distance row; it keeps one
-record per row with a ladder.  A full PairStats reads the distance rows of
-its first walk's vertices, each row at most once per pair_stats or
-iter_disjoint_pairs call, and fellow_travel_bound does the same.  The
+record per row with a ladder.  pair_stats reads the distance rows of its
+first walk's vertices, each row at most once per call, and
+fellow_travel_bound does the same.  iter_disjoint_pairs builds its
+PairStats in bulk: one gather per index for a batch of pairs, and one
+PairStats per distinct distance tuple, with no Python loop per pair.  The
 bigon and triangle scans classify their enumerated geodesics without
 validating them again.  The triangle scan enumerates each ordered side once
 per scan, off the distance row of its smaller end and the interval between
@@ -31,8 +33,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from itertools import combinations, combinations_with_replacement, islice
-from operator import eq, or_
+from itertools import chain, combinations, combinations_with_replacement, islice, repeat
+from operator import eq, getitem, or_
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import (
@@ -110,22 +112,13 @@ def _distances(rows: _Rows, v1: tuple, v2: tuple) -> tuple[int, ...]:
     return distances
 
 
-def _stats(rows: _Rows, v1: tuple, v2: tuple, m: int, disjoint: bool) -> PairStats:
-    """PairStats of equal-length walks whose disjointness is known (see _distances).
+def pair_stats(g: Graph, p1: PathSeq, p2: PathSeq, m: int) -> PairStats:
+    """Distances, a_m / c_m counters and the meeting flags for an equal-length pair;
+    only p1's vertices have their distance rows read.
 
     The walks share an indexed edge exactly when two consecutive distances
     are 0, and disjoint walks can share a directed edge only at one index.
     """
-    distances = _distances(rows, v1, v2)
-    sync = 0 in distances and (0, 0) in zip(distances, distances[1:])
-    co = sync if disjoint else not set(zip(v1, v1[1:])).isdisjoint(zip(v2, v2[1:]))
-    c_m = sum(1 for d in distances if 1 <= d <= m)
-    return PairStats(m, distances, distances.count(m), c_m, disjoint, co, sync)
-
-
-def pair_stats(g: Graph, p1: PathSeq, p2: PathSeq, m: int) -> PairStats:
-    """Distances, a_m / c_m counters and the meeting flags for an equal-length pair;
-    only p1's vertices have their distance rows read."""
     if m < 1:
         raise ValueError("width m must be at least 1")
     validate_path(g, p1)
@@ -139,7 +132,11 @@ def pair_stats(g: Graph, p1: PathSeq, p2: PathSeq, m: int) -> PairStats:
     for j, v in enumerate(v2):
         at[v] = -1 if v in at else j
     disjoint = all(at.get(v, i) == i for i, v in enumerate(v1))
-    return _stats(_Rows(g), v1, v2, m, disjoint)
+    distances = _distances(_Rows(g), v1, v2)
+    sync = 0 in distances and (0, 0) in zip(distances, distances[1:])
+    co = sync if disjoint else not set(zip(v1, v1[1:])).isdisjoint(zip(v2, v2[1:]))
+    c_m = sum(1 for d in distances if 1 <= d <= m)
+    return PairStats(m, distances, distances.count(m), c_m, disjoint, co, sync)
 
 
 def ladder_bound_A(m: int, k: int) -> int:
@@ -274,19 +271,74 @@ def iter_disjoint_pairs(
     lexicographically, each geodesic directed from the smaller endpoint),
     bucketed by length, and paired within each bucket, so the two geodesics
     of a pair may join different endpoint pairs.  The pairing of find_ladders
-    picks each row's disjoint partners, and only those pairs get a PairStats;
-    each vertex's distance row is read once per call.  The geodesics come
-    from enumeration, so no pair is validated again.  A width below 1 raises
+    picks each row's disjoint partners, and the PairStats of a run of rows
+    of one bucket are built together, one per distinct distance tuple and
+    shared by the pairs that have it (see _batch_stats); each vertex's
+    distance row is read once per call.  The geodesics come from
+    enumeration, so no pair is validated again.  A width below 1 raises
     ValueError at the call, before any pair is produced.
     """
     if m < 1:
         raise ValueError("width m must be at least 1")
     rows = _Rows(_graph_and_filter(host)[0])
-    return (
-        (geos[i], geos[j], _stats(rows, geos[i].vertices, geos[j].vertices, m, True))
-        for geos, i, disjoint, _ in _pair_rows(host, scope or SearchScope(), Coverage())
-        for j in _bits(disjoint)
-    )
+    batches = _pair_batches(_pair_rows(host, scope or SearchScope(), Coverage()))
+    return chain.from_iterable(_batch_stats(rows, m, *batch) for batch in batches)
+
+
+_BATCH = 4096  # pairs; bounds what a batch of _batch_stats holds at once
+
+
+def _pair_batches(pair_rows: Iterator[tuple]) -> Iterator[tuple]:
+    """(geos, firsts, ks, js) for runs of consecutive rows of one length
+    bucket: firsts holds the geodesic of each row with a disjoint partner, and
+    the pairs (firsts[k], geos[j]) of zip(ks, js) come in pairing order.  A
+    run ends at the first row that brings it to _BATCH pairs, so it holds
+    fewer than _BATCH pairs besides that row's.  A run cut short by
+    UnreachablePairError comes out before the error is raised again."""
+    geos, firsts, ks, js, error = None, [], [], [], None
+    try:
+        for bucket, i, disjoint, _ in pair_rows:
+            if bucket is not geos or len(js) >= _BATCH:
+                if js:
+                    yield geos, firsts, ks, js
+                geos, firsts, ks, js = bucket, [], [], []
+            if disjoint:
+                ks += repeat(len(firsts), disjoint.bit_count())
+                js += _bits(disjoint)
+                firsts.append(bucket[i])
+    except UnreachablePairError as exc:
+        error = exc
+    if js:
+        yield geos, firsts, ks, js
+    if error:
+        raise error
+
+
+def _batch_stats(rows: _Rows, m: int, geos: list[PathSeq], firsts: list, ks: list, js: list):
+    """(p1, p2, PairStats) for the disjoint pairs (firsts[k], geos[j]) of zip(ks, js).
+
+    Each index t reads d(p1(t), p2(t)) for every pair in one gather, from
+    the distance rows of the firsts' vertices, each looked up once per first.
+    A disjoint pair's PairStats depends on its distances alone, and pairs
+    share few distinct distance tuples (1,418 among the 41,692 pairs of
+    scripts/ladder_survey.py), so one PairStats is built per distinct tuple
+    and handed to every pair that has it.  Disjoint walks meet only at equal
+    indices, so they share an indexed edge exactly when two consecutive
+    distances are 0, and co_travelling is synchronously_co_travelling.
+    """
+    row_walks = [list(map(rows.__getitem__, p.vertices)) for p in firsts]
+    walks = [p.vertices for p in geos[: max(js) + 1]]
+    # Transposed over the pairs, row_at[t] and at[t] hold the row of p1(t) and p2(t).
+    row_at = zip(*map(row_walks.__getitem__, ks))
+    at = zip(*map(walks.__getitem__, js))
+    cols = [list(map(getitem, r, x)) for r, x in zip(row_at, at)]
+    stats = {}
+    for d in dict.fromkeys(zip(*cols)):  # each distinct distance tuple once
+        sync = 0 in d and (0, 0) in zip(d, d[1:])
+        c_m = sum(map(d.count, range(1, m + 1)))
+        stats[d] = PairStats(m, d, d.count(m), c_m, True, sync, sync)
+    per_pair = map(stats.__getitem__, zip(*cols))
+    return zip(map(firsts.__getitem__, ks), map(geos.__getitem__, js), per_pair)
 
 
 def _sphere(adj, x: int, m: int) -> set[int]:

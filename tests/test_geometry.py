@@ -666,6 +666,44 @@ def test_mask_pairing_matches_oracle(family, size, seed, m, caps, bucket, cap_ki
         naive_disjoint_pairs(host, m, scope, Coverage()))
 
 
+def _disjoint_union(g1, g2):
+    n = g1.vertex_count
+    edges = list(g1.edges()) + [(u + n, v + n) for u, v in g2.edges()]
+    return build_graph(edges, n + g2.vertex_count)
+
+
+GRAPH_FAMILIES = ["tree", "grid", "cycle", "bipartite"]
+
+
+@given(
+    st.sampled_from(GRAPH_FAMILIES),
+    st.sampled_from(GRAPH_FAMILIES),
+    st.integers(0, 47),
+    st.integers(0, 47),
+    st.integers(0, 10**6),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([None, 1, 20, 60]),
+    st.sampled_from([None, 2]),
+    st.one_of(st.none(), st.integers(0, 300)),
+    st.sampled_from([1, 5, geometry._BATCH]),
+)
+@settings(max_examples=120, deadline=None)
+def test_two_component_pairing_matches_oracle(
+    family1, family2, size1, size2, seed, m, max_pairs, max_geodesics, cap, batch
+):
+    """On two relabelled zoo graphs side by side, the pairs before the first
+    pair across the components come out, then the error, wherever it falls,
+    also when small batches split the length buckets."""
+    rng = random.Random(seed)
+    g = _disjoint_union(_mask_host(family1, size1, seed), _mask_host(family2, size2, seed + 1))
+    host = _relabel(g, rng)
+    scope = SearchScope(max_pairs=max_pairs, max_geodesics=max_geodesics, max_geodesic_pairs=cap)
+    want = _drain(naive_disjoint_pairs(host, m, scope, Coverage()))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_BATCH", batch)
+        assert _drain(iter_disjoint_pairs(host, m, scope)) == want
+
+
 @st.composite
 def _row_bucket(draw):
     """A length bucket of simple paths over a few vertices, an m-sphere map
@@ -722,6 +760,25 @@ def test_find_ladders_builds_no_pair_stats(monkeypatch):
     monkeypatch.setattr(geometry, "PairStats", refuse)
     got = [expanded(find_ladders(host, m, k, scope))
            for host, k in hosts for scope in SCAN_SCOPES for m in (1, 2)]
+    assert got == want
+
+
+@pytest.mark.parametrize("batch", [7, geometry._BATCH])
+def test_iter_disjoint_pairs_builds_no_pair_stats_one_by_one(monkeypatch, batch):
+    """The PairStats of the pairing come from the bulk per-index gathers, not
+    from the per-pair distance reads of pair_stats, whether or not batches
+    split the length buckets."""
+    hosts = _scan_hosts()
+    want = [list(naive_disjoint_pairs(host, m, scope, Coverage()))
+            for host, _ in hosts for scope in SCAN_SCOPES for m in (1, 2, 3)]
+
+    def refuse(*args):
+        raise AssertionError("a pair's distances read one by one")
+
+    monkeypatch.setattr(geometry, "_distances", refuse)
+    monkeypatch.setattr(geometry, "_BATCH", batch)
+    got = [list(iter_disjoint_pairs(host, m, scope))
+           for host, _ in hosts for scope in SCAN_SCOPES for m in (1, 2, 3)]
     assert got == want
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -30,3 +32,13 @@ def test_language_report_golden():
     result = run_script("language_report.py")
     assert result.returncode == 0 and result.stderr == b""
     assert result.stdout == (ROOT / "tests" / "golden" / "language_report.txt").read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--max-pairs", "--max-geodesics"])
+def test_ladder_survey_rejects_a_negative_cap(flag):
+    # The scope is checked before the first host, so nothing is printed.
+    result = run_script("ladder_survey.py", flag, "-1")
+    cap = flag[2:].replace("-", "_")
+    assert result.returncode == 2 and result.stdout == b""
+    assert result.stderr.endswith(f"error: {cap} must be nonnegative, got -1\n".encode())
+    assert b"Traceback" not in result.stderr
