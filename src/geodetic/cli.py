@@ -226,9 +226,13 @@ def cmd_ladders(args) -> int:
         raise ValueError("k must be at least 1")
     host = _load_host(args)
     k = args.k if args.k is not None else _min_k(host)[0]
+    try:
+        bound = str(ladder_bound_A(args.m, k))
+    except ValueError:  # past the interpreter's limit on digits printed
+        raise ValueError(f"bound A(m, k) at width m={args.m}, k={k} has too many digits to print")
     cov = find_ladders(host, args.m, k, scope)
     found = sum(len(r.heights) for r in cov.found)
-    print(f"ladders: m={args.m} k={k} bound={ladder_bound_A(args.m, k)} found={found}")
+    print(f"ladders: m={args.m} k={k} bound={bound} found={found}")
     _print_found(cov, _ladder_lines(cov), True)
     return 0
 

@@ -16,9 +16,9 @@ partners and, with a BFS of depth m per vertex, their a_m in a few bit
 operations per index, so find_ladders reads no distance row; it keeps one
 record per row with a ladder.  pair_stats reads the distance rows of its
 first walk's vertices, each row at most once per call, and
-fellow_travel_bound does the same.  iter_disjoint_pairs builds its
-PairStats in bulk: one gather per index for a batch of pairs, and one
-PairStats per distinct distance tuple, with no Python loop per pair.  The
+fellow_travel_bound does the same.  iter_disjoint_pairs reads the same
+rows' distances in one gather per index, and builds one PairStats per
+distinct distance tuple of the call, with no Python loop per pair.  The
 bigon and triangle scans classify their enumerated geodesics without
 validating them again.  The triangle scan enumerates each ordered side once
 per scan, off the distance row of its smaller end and the interval between
@@ -34,7 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import chain, combinations, combinations_with_replacement, islice, repeat
-from operator import eq, getitem, or_
+from operator import eq, or_
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import (
@@ -271,74 +271,39 @@ def iter_disjoint_pairs(
     lexicographically, each geodesic directed from the smaller endpoint),
     bucketed by length, and paired within each bucket, so the two geodesics
     of a pair may join different endpoint pairs.  The pairing of find_ladders
-    picks each row's disjoint partners, and the PairStats of a run of rows
-    of one bucket are built together, one per distinct distance tuple and
-    shared by the pairs that have it (see _batch_stats); each vertex's
-    distance row is read once per call.  The geodesics come from
-    enumeration, so no pair is validated again.  A width below 1 raises
+    picks each row's disjoint partners, and the row reads d(p1(t), p2(t))
+    for all of them in one gather per index t, off the distance row of
+    p1(t); each vertex's distance row is read once per call.  A disjoint
+    pair's PairStats depends on its distances alone, and pairs share few
+    distinct distance tuples (1,418 among the 41,692 pairs of
+    scripts/ladder_survey.py), so the call builds one PairStats per distinct
+    tuple and hands it to every pair that has it.  Disjoint walks meet only
+    at equal indices, so they share an indexed edge exactly when two
+    consecutive distances are 0, and co_travelling is
+    synchronously_co_travelling.  The geodesics come from enumeration, so no
+    pair is validated again.  A disjoint pair in two components raises
+    UnreachablePairError after the pairs before it.  A width below 1 raises
     ValueError at the call, before any pair is produced.
     """
     if m < 1:
         raise ValueError("width m must be at least 1")
     rows = _Rows(_graph_and_filter(host)[0])
-    batches = _pair_batches(_pair_rows(host, scope or SearchScope(), Coverage()))
-    return chain.from_iterable(_batch_stats(rows, m, *batch) for batch in batches)
+    stats: dict[tuple, PairStats] = {}  # distance tuple -> its PairStats
 
+    def row_pairs(geos: list[PathSeq], i: int, disjoint: int, _) -> Iterator[tuple]:
+        partners = list(map(geos.__getitem__, _bits(disjoint)))
+        # Column t holds d(p1(t), p2(t)) for every partner p2, in pairing order.
+        at = zip(*(p.vertices for p in partners))
+        cols = [list(map(rows[x].__getitem__, xs)) for x, xs in zip(geos[i].vertices, at)]
+        dists = list(zip(*cols))
+        for d in set(dists).difference(stats):
+            sync = 0 in d and (0, 0) in zip(d, d[1:])
+            c_m = sum(map(d.count, range(1, m + 1)))
+            stats[d] = PairStats(m, d, d.count(m), c_m, True, sync, sync)
+        return zip(repeat(geos[i]), partners, map(stats.__getitem__, dists))
 
-_BATCH = 4096  # pairs; bounds what a batch of _batch_stats holds at once
-
-
-def _pair_batches(pair_rows: Iterator[tuple]) -> Iterator[tuple]:
-    """(geos, firsts, ks, js) for runs of consecutive rows of one length
-    bucket: firsts holds the geodesic of each row with a disjoint partner, and
-    the pairs (firsts[k], geos[j]) of zip(ks, js) come in pairing order.  A
-    run ends at the first row that brings it to _BATCH pairs, so it holds
-    fewer than _BATCH pairs besides that row's.  A run cut short by
-    UnreachablePairError comes out before the error is raised again."""
-    geos, firsts, ks, js, error = None, [], [], [], None
-    try:
-        for bucket, i, disjoint, _ in pair_rows:
-            if bucket is not geos or len(js) >= _BATCH:
-                if js:
-                    yield geos, firsts, ks, js
-                geos, firsts, ks, js = bucket, [], [], []
-            if disjoint:
-                ks += repeat(len(firsts), disjoint.bit_count())
-                js += _bits(disjoint)
-                firsts.append(bucket[i])
-    except UnreachablePairError as exc:
-        error = exc
-    if js:
-        yield geos, firsts, ks, js
-    if error:
-        raise error
-
-
-def _batch_stats(rows: _Rows, m: int, geos: list[PathSeq], firsts: list, ks: list, js: list):
-    """(p1, p2, PairStats) for the disjoint pairs (firsts[k], geos[j]) of zip(ks, js).
-
-    Each index t reads d(p1(t), p2(t)) for every pair in one gather, from
-    the distance rows of the firsts' vertices, each looked up once per first.
-    A disjoint pair's PairStats depends on its distances alone, and pairs
-    share few distinct distance tuples (1,418 among the 41,692 pairs of
-    scripts/ladder_survey.py), so one PairStats is built per distinct tuple
-    and handed to every pair that has it.  Disjoint walks meet only at equal
-    indices, so they share an indexed edge exactly when two consecutive
-    distances are 0, and co_travelling is synchronously_co_travelling.
-    """
-    row_walks = [list(map(rows.__getitem__, p.vertices)) for p in firsts]
-    walks = [p.vertices for p in geos[: max(js) + 1]]
-    # Transposed over the pairs, row_at[t] and at[t] hold the row of p1(t) and p2(t).
-    row_at = zip(*map(row_walks.__getitem__, ks))
-    at = zip(*map(walks.__getitem__, js))
-    cols = [list(map(getitem, r, x)) for r, x in zip(row_at, at)]
-    stats = {}
-    for d in dict.fromkeys(zip(*cols)):  # each distinct distance tuple once
-        sync = 0 in d and (0, 0) in zip(d, d[1:])
-        c_m = sum(map(d.count, range(1, m + 1)))
-        stats[d] = PairStats(m, d, d.count(m), c_m, True, sync, sync)
-    per_pair = map(stats.__getitem__, zip(*cols))
-    return zip(map(firsts.__getitem__, ks), map(geos.__getitem__, js), per_pair)
+    pair_rows = _pair_rows(host, scope or SearchScope(), Coverage())
+    return chain.from_iterable(row_pairs(*row) for row in pair_rows)
 
 
 def _sphere(adj, x: int, m: int) -> set[int]:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from geodetic import cayley_ball, cli, parse_group_file
+from geodetic import cayley_ball, cli, ladder_bound_A, parse_group_file
 from geodetic.graphs import Graph, format_graph, graph_to_dot, parse_graph
 from geodetic.lang import parse_forbidden_file
 from geodetic.zoo import complete_bipartite, grid_graph, petersen_graph, random_tree
@@ -260,6 +260,24 @@ def test_ladders_disconnected_host_error(capsys, tmp_path):
     path.write_text("graph 6\ne 0 1\ne 1 2\ne 3 4\ne 4 5\n")
     result = run(capsys, ["ladders", "--graph", str(path), "--m", "1", "--k", "1"])
     assert result == (2, "", "error: no path between vertices 0 and 3\n")
+
+
+def test_ladders_bound_at_the_digit_limit(capsys, c4):
+    # A(777, 1) has 4,296 digits and A(778, 1) 4,302; Python prints at most 4,300.
+    code, out, _ = run(capsys, ["ladders", "--graph", c4, "--m", "777", "--k", "1"])
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == "e7e778288285b93669f1f6263887c7470d9c5e07"
+    assert out.splitlines()[0] == f"ladders: m=777 k=1 bound={ladder_bound_A(777, 1)} found=0"
+
+
+def test_ladders_bound_too_long_to_print_fails_before_the_scan(capsys, c4, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("find_ladders ran")
+
+    monkeypatch.setattr(cli, "find_ladders", no_scan)
+    result = run(capsys, ["ladders", "--graph", c4, "--m", "778", "--k", "1"])
+    assert result == (
+        2, "", "error: bound A(m, k) at width m=778, k=1 has too many digits to print\n")
 
 
 

@@ -685,23 +685,19 @@ GRAPH_FAMILIES = ["tree", "grid", "cycle", "bipartite"]
     st.sampled_from([None, 1, 20, 60]),
     st.sampled_from([None, 2]),
     st.one_of(st.none(), st.integers(0, 300)),
-    st.sampled_from([1, 5, geometry._BATCH]),
 )
 @settings(max_examples=120, deadline=None)
 def test_two_component_pairing_matches_oracle(
-    family1, family2, size1, size2, seed, m, max_pairs, max_geodesics, cap, batch
+    family1, family2, size1, size2, seed, m, max_pairs, max_geodesics, cap
 ):
     """On two relabelled zoo graphs side by side, the pairs before the first
-    pair across the components come out, then the error, wherever it falls,
-    also when small batches split the length buckets."""
+    pair across the components come out, then the error, wherever it falls."""
     rng = random.Random(seed)
     g = _disjoint_union(_mask_host(family1, size1, seed), _mask_host(family2, size2, seed + 1))
     host = _relabel(g, rng)
     scope = SearchScope(max_pairs=max_pairs, max_geodesics=max_geodesics, max_geodesic_pairs=cap)
     want = _drain(naive_disjoint_pairs(host, m, scope, Coverage()))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(geometry, "_BATCH", batch)
-        assert _drain(iter_disjoint_pairs(host, m, scope)) == want
+    assert _drain(iter_disjoint_pairs(host, m, scope)) == want
 
 
 @st.composite
@@ -763,11 +759,12 @@ def test_find_ladders_builds_no_pair_stats(monkeypatch):
     assert got == want
 
 
-@pytest.mark.parametrize("batch", [7, geometry._BATCH])
-def test_iter_disjoint_pairs_builds_no_pair_stats_one_by_one(monkeypatch, batch):
-    """The PairStats of the pairing come from the bulk per-index gathers, not
-    from the per-pair distance reads of pair_stats, whether or not batches
-    split the length buckets."""
+@pytest.mark.parametrize("chunk", [7, 4096])
+def test_iter_disjoint_pairs_builds_no_pair_stats_one_by_one(monkeypatch, chunk):
+    """The PairStats of the pairing come from each row's per-index gathers,
+    not from the per-pair distance reads of pair_stats.  Two calls on one
+    host, read alternately chunk pairs at a time, keep their per-call state
+    apart and each give the oracle's pairs."""
     hosts = _scan_hosts()
     want = [list(naive_disjoint_pairs(host, m, scope, Coverage()))
             for host, _ in hosts for scope in SCAN_SCOPES for m in (1, 2, 3)]
@@ -775,11 +772,20 @@ def test_iter_disjoint_pairs_builds_no_pair_stats_one_by_one(monkeypatch, batch)
     def refuse(*args):
         raise AssertionError("a pair's distances read one by one")
 
+    def interleaved(host, m, scope):
+        calls = [iter_disjoint_pairs(host, m, scope) for _ in range(2)]
+        got = [[], []]
+        while True:
+            chunks = [list(islice(call, chunk)) for call in calls]
+            for pairs, part in zip(got, chunks):
+                pairs += part
+            if not any(chunks):
+                return got
+
     monkeypatch.setattr(geometry, "_distances", refuse)
-    monkeypatch.setattr(geometry, "_BATCH", batch)
-    got = [list(iter_disjoint_pairs(host, m, scope))
+    got = [interleaved(host, m, scope)
            for host, _ in hosts for scope in SCAN_SCOPES for m in (1, 2, 3)]
-    assert got == want
+    assert got == [[pairs, pairs] for pairs in want]
 
 
 def test_ladder_pairing_reads_no_distance_row(monkeypatch):
@@ -823,6 +829,16 @@ def test_iter_disjoint_pairs_reads_each_row_once_per_call(monkeypatch):
             assert list(iter_disjoint_pairs(make(), m))
             rows = requests[source_only:]
             assert rows and len(rows) == len(set(rows))
+
+
+def test_iter_disjoint_pairs_shares_pair_stats_across_the_call():
+    """Pairs with equal distances share one PairStats across the whole call:
+    the 131,452 pairs of the Z x Z ball of radius 6 at width 1 have 467
+    distinct distance tuples, so exactly 467 PairStats objects."""
+    stats = [s for _, _, s in iter_disjoint_pairs(_zxz_ball(6), 1)]
+    assert len(stats) == 131_452
+    assert len({s.distances for s in stats}) == 467
+    assert len(set(map(id, stats))) == 467
 
 
 @pytest.mark.parametrize("k", [0, 1])
