@@ -1,16 +1,15 @@
 """Survey ladder heights and closeness counts across the host zoo.
 
 For every host the script re-derives the geodeticity constant, scans the
-asynchronously disjoint geodesic pairs once at widths 1 and 2, and prints
-the ladders among them (pairs with a_m >= 1) with the largest height next
-to the bound A(m, k), plus the largest c_m next to C(m, k).  The point of the exercise
-is how much slack the bounds leave on small hosts.
+asynchronously disjoint geodesic pairs once, and for each of the widths 1
+and 2 prints the ladders among them (pairs with a_m >= 1) with the largest
+height next to the bound A(m, k), plus the largest c_m next to C(m, k).
+The point of the exercise is how much slack the bounds leave on small hosts.
 """
 
 import argparse
 import random
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
 
 from geodetic import (
     SearchScope,
@@ -65,10 +64,14 @@ def survey_host(name, host, cfg, scope):
         k, _ = host.min_geodetic_k()
     else:
         k, _ = min_geodetic_k(host)
+    # The disjoint pairs and their distances do not depend on the width, so
+    # one scan at the largest width gives every width's a_m, the number of
+    # distances equal to m, and c_m, the number between 1 and m.
+    pairs = iter_disjoint_pairs(host, max(cfg.widths), scope)
+    distances = [stats.distances for _, _, stats in pairs]
     for m in cfg.widths:
-        stats = list(map(itemgetter(2), iter_disjoint_pairs(host, m, scope)))
-        heights = list(map(attrgetter("a_m"), stats))
-        max_close = max(map(attrgetter("c_m"), stats), default=0)
+        heights = [d.count(m) for d in distances]
+        max_close = max((sum(map(d.count, range(1, m + 1))) for d in distances), default=0)
         print(
             f"{name}: k={k} m={m} ladders={len(heights) - heights.count(0)} "
             f"max_height={max(heights, default=0)} A={ladder_bound_A(m, k)} "

@@ -109,9 +109,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def is_connected(self) -> bool:
-        return self.vertex_count == 0 or UNREACHED not in self.dag(0).dist
-
     def dag(self, source: int, count_cap: Optional[int] = None) -> GeodesicDag:
         """A fresh BFS DAG from source, as bfs_dag returns it."""
         return bfs_dag(self, source, count_cap)
@@ -235,6 +232,37 @@ def geodesic_walks(adj, u: int, v: int, total: int, dist_to_v, limit: Optional[i
     return out, False
 
 
+def _unique_geodesics(g: Graph) -> bool:
+    """Whether every pair of vertices of the connected graph g has one geodesic.
+
+    One BFS runs from every source at once, bit s of each mask standing for
+    source s.  In round d, v ORs into one the frontier masks of its
+    neighbours, the sources at distance d - 1 from them, and collects in two
+    the sources that reach two of them; a source new to v with a bit in two
+    gives v two geodesic predecessors.  seen[v] holds the sources that have
+    reached v, and new is one & ~seen[v], taken as a XOR so that no mask is
+    ever negative.
+    """
+    seen = [1 << v for v in range(g.vertex_count)]
+    frontier = seen[:]
+    while any(frontier):
+        nxt = []
+        for v, nbrs in enumerate(g.adj):
+            one = two = 0
+            for u in nbrs:
+                f = frontier[u]
+                two |= one & f
+                one |= f
+            old = seen[v]
+            seen[v] = one = one | old
+            new = one ^ old
+            if two & new:
+                return False
+            nxt.append(new)
+        frontier = nxt
+    return True
+
+
 def _pair_counts(
     g: Graph,
     pair_filter: Optional[Callable[[int, int], bool]],
@@ -243,20 +271,38 @@ def _pair_counts(
     """One (dist, u, v, count) row per source u: its first admitted pair u < v
     in (dist, v) order with the largest count, or with k given, with a count
     above k, so min_k_of_rows and k_geodetic_of_rows pick from these rows the
-    pair they would pick from all.  Each source with an admitted partner
-    runs one bfs_dag, dropped before the next.  For a single-vertex
-    graph the lone pair (0, 0) is admitted so that the scan is never empty.
+    pair they would pick from all.  For a single-vertex graph the lone pair
+    (0, 0) is admitted so that the scan is never empty.
+
+    The BFS from vertex 0 checks connectivity and gives ecc(0).  When the
+    guard below admits g, _unique_geodesics runs first: if every pair has
+    one geodesic, no row is needed with k given, and without k the answer
+    is the first admitted edge.  Otherwise, or when no edge is admitted,
+    each source with an admitted partner runs one bfs_dag, dropped before
+    the next.
     """
-    if g.vertex_count == 0:
+    n = g.vertex_count
+    if n == 0:
         raise ValueError("empty graph")
-    if not g.is_connected():
+    dist0 = bfs_dag(g, 0).dist
+    if UNREACHED in dist0:
         raise UnreachablePairError("graph is not connected")
-    if g.vertex_count == 1:
+    if n == 1:
         if pair_filter is None or pair_filter(0, 0):
             yield (0, 0, 0, 1)
         return
-    for u in range(g.vertex_count):
-        vs = [v for v in range(u + 1, g.vertex_count) if pair_filter is None or pair_filter(u, v)]
+    # The pass takes at most 2 ecc(0) + 1 rounds of about 2.5 single-source
+    # BFS each, so it costs under a quarter of the n BFS it can save, and
+    # n <= 4096 keeps its lists of n-bit masks to a few MB.
+    if n <= 4096 and 10 * (2 * max(dist0) + 1) <= n and _unique_geodesics(g):
+        if k is not None:
+            return
+        for u, v in g.edges():
+            if pair_filter is None or pair_filter(u, v):
+                yield (1, u, v, 1)
+                return
+    for u in range(n):
+        vs = [v for v in range(u + 1, n) if pair_filter is None or pair_filter(u, v)]
         if vs:
             dag = bfs_dag(g, u)
             top = max(map(dag.counts.__getitem__, vs)) if k is None else k + 1
@@ -302,11 +348,13 @@ def min_geodetic_k(
     (distance, u, v).  The diagonal is skipped except on a single-vertex
     graph, where the answer is 1 with witness (0, 0).
 
-    This is the all-pairs path: one transient BFS per source with an
-    admitted partner, so memory stays O(n) beyond the graph.  On a
-    Cayley ball, CayleyBall.min_geodetic_k gets the same answer from the
-    identity's geodesic counts alone; this function, called with
-    ball.is_trusted_pair as the filter, is its oracle.
+    This is the all-pairs path of _pair_counts.  A graph with one geodesic
+    per pair is settled, when the guard there admits it, by one BFS from
+    all sources at once, in a few MB of bit masks; otherwise one transient
+    BFS runs per source with an admitted partner, so memory stays O(n)
+    beyond the graph.  On a Cayley ball, CayleyBall.min_geodetic_k gets the
+    same answer from the identity's geodesic counts alone; this function,
+    called with ball.is_trusted_pair as the filter, is its oracle.
     """
     return min_k_of_rows(_pair_counts(g, pair_filter))
 
@@ -316,11 +364,10 @@ def is_k_geodetic(
 ) -> tuple[bool, Optional[tuple[int, int]]]:
     """Whether every vertex pair has at most k geodesics.
 
-    Counts are exact, from one transient BFS per source with an admitted
-    partner, as in min_geodetic_k.  On failure the counterexample is the
-    first violating pair in (distance, u, v) order.  On a Cayley ball,
-    CayleyBall.is_k_geodetic is the one-BFS path and this function its
-    oracle.
+    Counts are exact, from the all-pairs path of min_geodetic_k.  On
+    failure the counterexample is the first violating pair in (distance,
+    u, v) order.  On a Cayley ball, CayleyBall.is_k_geodetic is the one-BFS
+    path and this function its oracle.
     """
     return k_geodetic_of_rows(_pair_counts(g, pair_filter, k), k)
 

@@ -22,6 +22,7 @@ from geodetic import (
     min_geodetic_k,
     pair_stats,
     parse_graph,
+    parse_group_file,
     shorten_paths,
 )
 from geodetic import graphs
@@ -39,6 +40,7 @@ from geodetic.zoo import (
     z_cross_z2,
 )
 import random
+from unittest import mock
 
 from oracles import (
     bfs_distances, brute_complete_bipartite, dfs_shortest_paths, expanded, first_maximiser,
@@ -120,9 +122,6 @@ def test_all_pairs_counts_cache_no_dag():
 
 
 def test_all_pairs_counts_run_bfs_only_from_sources_with_a_trusted_partner(monkeypatch):
-    ball = cayley_ball(*free_group(2), 5)
-    n, trusted = ball.vertex_count, ball.is_trusted_pair
-    want = {u for u in range(n) if any(trusted(u, v) for v in range(u + 1, n))}
     sources = []
     original = graphs.bfs_dag
 
@@ -131,11 +130,149 @@ def test_all_pairs_counts_run_bfs_only_from_sources_with_a_trusted_partner(monke
         return original(g, source, count_cap)
 
     monkeypatch.setattr(graphs, "bfs_dag", recording)
-    assert min_geodetic_k(ball.graph, trusted) == (1, (0, 1))
-    assert is_k_geodetic(ball.graph, 1, trusted) == (True, None)
+    # Z x Z has two geodesics across every square: the all-sources pass, which
+    # the guard admits at this radius, fails, and every trusted source runs.
+    ball = _zxz_ball(10)
+    n, trusted = ball.vertex_count, ball.is_trusted_pair
+    want = {u for u in range(n) if any(trusted(u, v) for v in range(u + 1, n))}
+    assert min_geodetic_k(ball.graph, trusted) == ball.min_geodetic_k()
+    assert is_k_geodetic(ball.graph, 1, trusted) == ball.is_k_geodetic(1)
     # Vertex 0 runs once more per call, for the connectivity check.
     assert set(sources) == want and len(sources) == 2 * len(want) + 2
-    assert len(want) == 17
+    assert len(want) == 60
+    # The F2 ball is a tree: the BFS from vertex 0 is the only one per call.
+    sources.clear()
+    ball = cayley_ball(*free_group(2), 5)
+    assert min_geodetic_k(ball.graph, ball.is_trusted_pair) == (1, (0, 1))
+    assert is_k_geodetic(ball.graph, 1, ball.is_trusted_pair) == (True, None)
+    assert sources == [0, 0]
+
+
+def _zxz_ball(radius):
+    gf = parse_group_file(
+        "group product cyclic 0 cyclic 0\n"
+        "gen a pow 1, pow 0\ngen a' pow -1, pow 0\ngen b pow 0, pow 1\ngen b' pow 0, pow -1\n"
+    )
+    return cayley_ball(gf.spec, gf.genset, radius)
+
+
+def _oracle(fn, *args):
+    """fn(*args) with the all-sources pass of _pair_counts turned off."""
+    with mock.patch.object(graphs, "_unique_geodesics", lambda g: False):
+        return fn(*args)
+
+
+def _with_pass(fn, *args):
+    """fn(*args), and the answers of the all-sources pass it ran."""
+    ran, real = [], graphs._unique_geodesics
+
+    def recording(g):
+        ran.append(real(g))
+        return ran[-1]
+
+    with mock.patch.object(graphs, "_unique_geodesics", recording):
+        return fn(*args), ran
+
+
+def assert_pass_matches_oracle(g, pair_filter=None):
+    """min_geodetic_k and is_k_geodetic at k = 1, 2, 3 run the pass on g and
+    answer as they do without it."""
+    calls = [(min_geodetic_k, g, pair_filter)] + [(is_k_geodetic, g, k, pair_filter) for k in (1, 2, 3)]
+    for fn, *args in calls:
+        got, ran = _with_pass(fn, *args)
+        assert len(ran) == 1
+        assert got == _oracle(fn, *args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs())
+def test_unique_geodesics_matches_per_source_counts(g):
+    assert graphs._unique_geodesics(g) == (_oracle(min_geodetic_k, g)[0] == 1)
+
+
+@st.composite
+def wide_hosts(draw):
+    """A random tree on 40-300 vertices with pendant odd cycles hung on it,
+    every vertex within (n // 10 - 1) // 2 of vertex 0 for the n tree
+    vertices, so the guard of _pair_counts admits it."""
+    n = draw(st.integers(40, 300))
+    reach = (n // 10 - 1) // 2
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    depth = [0]
+    edges = []
+    for i in range(1, n):
+        parent = rng.choice([v for v in range(i) if depth[v] < reach])
+        edges.append((parent, i))
+        depth.append(depth[parent] + 1)
+    for length in draw(st.lists(st.sampled_from([3, 5, 7]), max_size=4)):
+        roots = [v for v in range(n) if depth[v] + length // 2 <= reach]
+        if roots:
+            cycle = [rng.choice(roots)] + list(range(len(depth), len(depth) + length - 1))
+            depth += [reach] * (length - 1)
+            edges += [(cycle[i - 1], cycle[i]) for i in range(1, length)] + [(cycle[0], cycle[-1])]
+    return build_graph(edges, len(depth))
+
+
+@settings(max_examples=15, deadline=None)
+@given(wide_hosts())
+def test_pass_matches_oracle_on_trees_with_pendant_odd_cycles(g):
+    assert_pass_matches_oracle(g)
+
+
+def _cycle_with_leaves(length, leaves):
+    """A cycle 0..length-1 with leaf length + j hung on vertex j % length."""
+    edges = [(i, (i + 1) % length) for i in range(length)]
+    edges += [(j % length, length + j) for j in range(leaves)]
+    return build_graph(edges, length + leaves)
+
+
+def _complete_graph(n):
+    return build_graph([(u, v) for u in range(n) for v in range(u + 1, n)], n)
+
+
+@pytest.mark.parametrize("g", [
+    random_tree(300, random.Random(3)), _complete_graph(31), _complete_graph(40),
+    _cycle_with_leaves(40, 500), _cycle_with_leaves(41, 500),
+], ids=["tree300", "k31", "k40", "c40-500-leaves", "c41-500-leaves"])
+def test_pass_matches_oracle(g):
+    assert_pass_matches_oracle(g)
+
+
+@pytest.mark.parametrize("radius", [4, 5, 6])
+def test_pass_matches_oracle_on_free_balls(radius):
+    ball = cayley_ball(*free_group(2), radius)
+    assert_pass_matches_oracle(ball.graph, ball.is_trusted_pair)
+    assert min_geodetic_k(ball.graph, ball.is_trusted_pair) == ball.min_geodetic_k()
+
+
+def test_pass_on_a_geodetic_host_with_filters_that_admit_no_edge_or_no_pair():
+    g = random_tree(300, random.Random(3))
+    # No edge admitted: the per-source loop answers, with the pair at distance 2.
+    non_adjacent = lambda u, v: v not in g.adj[u]
+    assert_pass_matches_oracle(g, non_adjacent)
+    assert g.dist(*min_geodetic_k(g, non_adjacent)[1]) == 2
+    nothing = lambda u, v: False
+    with pytest.raises(ValueError, match="^no admitted vertex pairs$"):
+        _with_pass(min_geodetic_k, g, nothing)
+    with pytest.raises(ValueError, match="^no admitted vertex pairs$"):
+        _oracle(min_geodetic_k, g, nothing)
+    for k in (1, 2, 3):
+        assert _with_pass(is_k_geodetic, g, k, nothing) == ((True, None), [True])
+
+
+def _broom(reach, n):
+    """A path 0..reach with leaves on vertex 0 up to n vertices: ecc(0) = reach."""
+    return build_graph([(i, i + 1) for i in range(reach)] + [(0, v) for v in range(reach + 1, n)], n)
+
+
+@pytest.mark.parametrize("g, admitted", [
+    (cycle_graph(64), False), (_broom(2, 49), False), (_broom(2, 50), True),
+], ids=["c64", "broom-49", "broom-50"])
+def test_pass_runs_only_when_its_rounds_cost_under_a_tenth_of_the_vertices(g, admitted):
+    for fn, *args in [(min_geodetic_k, g), (is_k_geodetic, g, 1)]:
+        got, ran = _with_pass(fn, *args)
+        assert got == _oracle(fn, *args)
+        assert len(ran) == admitted
 
 
 def test_enumerate_respects_limit():
