@@ -274,18 +274,18 @@ def _pair_counts(
     pair they would pick from all.  For a single-vertex graph the lone pair
     (0, 0) is admitted so that the scan is never empty.
 
-    The BFS from vertex 0 checks connectivity and gives ecc(0).  When the
-    guard below admits g, _unique_geodesics runs first: if every pair has
-    one geodesic, no row is needed with k given, and without k the answer
-    is the first admitted edge.  Otherwise, or when no edge is admitted,
-    each source with an admitted partner runs one bfs_dag, dropped before
-    the next.
+    The BFS from vertex 0 checks connectivity, gives ecc(0) and is kept as
+    source 0's row.  When the guard below admits g, _unique_geodesics runs
+    first: if every pair has one geodesic, no row is needed with k given,
+    and without k the answer is the first admitted edge.  Otherwise, or
+    when no edge is admitted, each other source with an admitted partner
+    runs one bfs_dag, dropped before the next.
     """
     n = g.vertex_count
     if n == 0:
         raise ValueError("empty graph")
-    dist0 = bfs_dag(g, 0).dist
-    if UNREACHED in dist0:
+    dag0 = bfs_dag(g, 0)
+    if UNREACHED in dag0.dist:
         raise UnreachablePairError("graph is not connected")
     if n == 1:
         if pair_filter is None or pair_filter(0, 0):
@@ -294,7 +294,7 @@ def _pair_counts(
     # The pass takes at most 2 ecc(0) + 1 rounds of about 2.5 single-source
     # BFS each, so it costs under a quarter of the n BFS it can save, and
     # n <= 4096 keeps its lists of n-bit masks to a few MB.
-    if n <= 4096 and 10 * (2 * max(dist0) + 1) <= n and _unique_geodesics(g):
+    if n <= 4096 and 10 * (2 * max(dag0.dist) + 1) <= n and _unique_geodesics(g):
         if k is not None:
             return
         for u, v in g.edges():
@@ -304,7 +304,7 @@ def _pair_counts(
     for u in range(n):
         vs = [v for v in range(u + 1, n) if pair_filter is None or pair_filter(u, v)]
         if vs:
-            dag = bfs_dag(g, u)
+            dag = bfs_dag(g, u) if u else dag0
             top = max(map(dag.counts.__getitem__, vs)) if k is None else k + 1
             best = [(dag.dist[v], v) for v in vs if dag.counts[v] >= top]
             if best:

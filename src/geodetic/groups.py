@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .graphs import Graph, k_geodetic_of_rows, min_k_of_rows
@@ -52,6 +53,13 @@ class GroupSpec:
 
     def inverse(self, a: Element) -> Element:
         raise NotImplementedError
+
+    def parity(self, a: Element) -> int:
+        """The image of a, 0 or 1, under a fixed homomorphism onto Z/2; the
+        default is the trivial one.  When every generator has parity 1, every
+        word for g has length ≡ parity(g) (mod 2), so each step changes the
+        norm by exactly one and no edge joins two vertices of one sphere."""
+        return 0
 
     def check_element(self, a: Element) -> None:
         """Raise GroupSpecError unless a is a canonical element of this group."""
@@ -104,6 +112,11 @@ class CyclicSpec(GroupSpec):
 
     def inverse(self, a):
         return (-a) % self.n if self.n else -a
+
+    def parity(self, a):
+        """a mod 2 when the order is even or infinite; Z_n for odd n has
+        only the trivial homomorphism onto Z/2."""
+        return 0 if self.n % 2 else a % 2
 
     def check_element(self, a):
         if not isinstance(a, int) or isinstance(a, bool):
@@ -266,6 +279,10 @@ class ProductSpec(GroupSpec):
     def inverse(self, a):
         return tuple(f.inverse(x) for f, x in zip(self.factors, a))
 
+    def parity(self, a):
+        """The sum of the factor parities, mod 2."""
+        return sum(f.parity(x) for f, x in zip(self.factors, a)) % 2
+
     def check_element(self, a):
         if not isinstance(a, tuple) or len(a) != len(self.factors):
             raise GroupSpecError(f"product element must be a {len(self.factors)}-tuple, got {a!r}")
@@ -395,6 +412,10 @@ class PlainSpec(GroupSpec):
 
     def inverse(self, a):
         return tuple((f, self._canonical_exp(f, -e)) for f, e in reversed(a))
+
+    def parity(self, a):
+        """The sum of the exponents over factors of even or infinite order, mod 2."""
+        return sum(e for f, e in a if self._orders[f] % 2 == 0) % 2
 
     def check_element(self, a):
         if not isinstance(a, tuple):
@@ -530,14 +551,16 @@ class CayleyBall:
     i-th generator s_i of genset, or -1 when that product lies outside the
     ball, which happens only when norms[u] == radius.  steps[i][u] = v
     goes with steps[j][v] = u for the inverse s_j of s_i, and cayley_ball
-    fills both from one right action of s_i.  The graph is the subgraph
-    induced on the ball, so distances between two vertices u, v are exact
-    whenever norms[u] + norms[v] <= radius (every group geodesic between
-    such a pair stays inside the ball); complete balls, where the whole
-    group was reached, are exact everywhere.  The graph is built from
-    steps on its first read, so code that reads only elements, norms and
-    steps (the language commands, edges, edge_count, min_geodetic_k and
-    is_k_geodetic) never builds it.
+    fills both from one right action of s_i.  When every generator has
+    parity 1 (GroupSpec.parity), no edge joins two vertices of one sphere,
+    and a step from the last sphere that leaves the ball takes no right
+    action.  The graph is the subgraph induced on the ball, so distances
+    between two vertices u, v are exact whenever norms[u] + norms[v] <=
+    radius (every group geodesic between such a pair stays inside the
+    ball); complete balls, where the whole group was reached, are exact
+    everywhere.  The graph is built from steps on its first read, so code
+    that reads only elements, norms and steps (the language commands,
+    edges, edge_count, min_geodetic_k and is_k_geodetic) never builds it.
 
     min_geodetic_k and is_k_geodetic are the fast path for geodesic counts
     over trusted pairs: they count the geodesics from the identity alone,
@@ -649,8 +672,13 @@ def cayley_ball(
     generator: u·s = v also gives the step v·s⁻¹ = u, which waits in a
     per-generator dict until v's turn, and a step known that way is never
     computed.  Each product is hashed once: index.setdefault adds it below
-    the radius, and index.get only looks it up on the last sphere.  The step
-    rows grow one entry per vertex in processing order.  budget caps the
+    the radius, and index.get only looks it up on the last sphere.  When
+    every generator has parity 1 (GroupSpec.parity), a step from the last
+    sphere stays in the ball only by going back to the sphere below, so it
+    already waits in known: at the first vertex of norm radius, each row is
+    filled from known for every remaining vertex and the pass stops, with
+    no right action for a step that leaves the ball.  The step rows grow
+    one entry per vertex in processing order.  budget caps the
     number of vertices (default 10^6, or the GEODETIC_BALL_BUDGET environment
     variable, which raises ValueError unless it is an integer of at least
     1); exceeding it raises BallBudgetError before memory runs away.
@@ -676,8 +704,13 @@ def cayley_ball(
     known_of = dict(zip(genset.labels, known))
     moves = [(row.append, spec.right_action(s), here.pop, known_of[genset.inverse_label[label]])
              for (label, s), row, here in zip(genset.items(), steps, known)]
+    bipartite = all(map(spec.parity, genset.elements))
     for u, gu in enumerate(elements):  # elements grows while it is read
         layer = norms[u] + 1
+        if layer > radius and bipartite:
+            for row, here in zip(steps, known):
+                row.extend(map(here.get, range(u, len(elements)), repeat(-1)))
+            break
         for append, act, pop, back in moves:
             v = pop(u, None)
             if v is None:

@@ -137,8 +137,8 @@ def test_all_pairs_counts_run_bfs_only_from_sources_with_a_trusted_partner(monke
     want = {u for u in range(n) if any(trusted(u, v) for v in range(u + 1, n))}
     assert min_geodetic_k(ball.graph, trusted) == ball.min_geodetic_k()
     assert is_k_geodetic(ball.graph, 1, trusted) == ball.is_k_geodetic(1)
-    # Vertex 0 runs once more per call, for the connectivity check.
-    assert set(sources) == want and len(sources) == 2 * len(want) + 2
+    # Vertex 0's BFS, run first for the connectivity check, is also its row.
+    assert set(sources) == want and len(sources) == 2 * len(want)
     assert len(want) == 60
     # The F2 ball is a tree: the BFS from vertex 0 is the only one per call.
     sources.clear()

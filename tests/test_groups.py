@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, find, given, settings, strategies as st
 
 from geodetic import (
     BallBudgetError,
@@ -398,6 +398,10 @@ def file_group(text):
     return gf.spec, gf.genset
 
 
+# Two-syllable generators x = ab and X = x^-1 take the general multiply path.
+TWO_SYLLABLES = file_group(
+    "group plain Z=2\ngen x word a b\ngen X word b^-1 a^-1\ngen b word b\ngen B word b^-1\n"
+)
 BALL_CASES = [
     (free_group(2), 0, None),
     (free_group(2), 1, None),
@@ -416,9 +420,7 @@ BALL_CASES = [
     (cyclic_with_step(7), 3, None),
     (cyclic_with_step(2), 4, None),
     (table_group(5), 3, None),
-    # Two-syllable generators x = ab and X = x^-1 take the general multiply path.
-    (file_group("group plain Z=2\ngen x word a b\ngen X word b^-1 a^-1\n"
-                "gen b word b\ngen B word b^-1\n"), 4, None),
+    (TWO_SYLLABLES, 4, None),
     # C5 at radius 2: the elements 2 and 3 of the last layer are adjacent.
     (cyclic_with_step(5), 2, None),
     # Z x Z at radius 3 has 25 vertices: the budget fits exactly, or the last
@@ -426,6 +428,37 @@ BALL_CASES = [
     (product_group(0, 0), 3, 25),
     (product_group(0, 0), 3, 24),
 ]
+
+
+def recorded_ball(spec, gens, radius, budget=10**6):
+    """cayley_ball, and the element of every right action it ran, in order."""
+    acted = []
+    right_action = spec.right_action
+
+    def recording(s):
+        act = right_action(s)
+        return lambda a: acted.append(a) or act(a)
+
+    spec.right_action = recording
+    try:
+        return cayley_ball(spec, gens, radius, budget=budget), acted
+    finally:
+        del spec.right_action
+
+
+def expected_right_actions(ball):
+    """The exact right-action count of the closure; u·s = v also fills v·s^-1 = u.
+
+    On an all-odd genset it is one per edge with an end below the last
+    sphere: |S| per vertex below it, less the edges among those vertices.
+    Elsewhere every vertex acts, so n·|S| less one per edge.
+    """
+    n, radius, size = ball.vertex_count, ball.radius, len(ball.genset)
+    if not all(ball.spec.parity(s) for s in ball.genset.elements):
+        return n * size - ball.edge_count
+    inner = sum(1 for x in ball.norms if x < radius)
+    inner_edges = sum(1 for _, v in ball.edges() if ball.norms[v] < radius)
+    return size * inner - inner_edges
 
 
 @pytest.mark.parametrize("group, radius, budget", BALL_CASES)
@@ -440,20 +473,11 @@ def test_cayley_ball_matches_two_pass_oracle(group, radius, budget):
         assert str(got.value) == str(exc)
         return
     elements, norms, complete, graph, edge_labels = want
-    calls = []
-    right_action = spec.right_action
-
-    def counted(s):
-        act = right_action(s)
-        return lambda a: calls.append(1) or act(a)
-
-    spec.right_action = counted
-    try:
-        ball = cayley_ball(spec, gens, radius, budget=budget)
-    finally:
-        del spec.right_action
-    # One right action per edge: u·s = v also fills the step v·s^-1 = u.
-    assert len(calls) == ball.vertex_count * len(gens) - ball.edge_count
+    ball, acted = recorded_ball(spec, gens, radius, budget)
+    assert len(acted) == expected_right_actions(ball)
+    if all(spec.parity(s) for s in gens.elements):
+        # The oracle's graph is bipartite by norm: no edge within a sphere.
+        assert all(norms[u] != norms[v] for u, v in graph.edges())
     assert ball.elements == elements
     assert ball.norms == norms
     assert ball.complete == complete
@@ -629,3 +653,145 @@ def test_smaller_ball_is_a_prefix_of_the_larger(group, big_radius):
             assert [small_row[u] for u in inner] == [big_row[u] for u in inner]
         if small.complete and spec.order() == n:
             assert small.steps == big.steps
+
+
+def elements_of(spec, syllables=6):
+    """Strategy for elements of spec; plain ones have up to `syllables` raw syllables."""
+    if isinstance(spec, CyclicSpec):
+        return st.integers(-9, 9).map(lambda k: k % spec.n if spec.n else k)
+    if isinstance(spec, TableSpec):
+        return st.integers(0, spec.size - 1)
+    if isinstance(spec, ProductSpec):
+        return st.tuples(*(elements_of(f, syllables) for f in spec.factors))
+    raw = st.lists(
+        st.tuples(st.integers(0, spec.factor_count - 1), st.integers(-3, 3)), max_size=syllables
+    )
+    return raw.map(lambda r: push_product(spec, (), r))
+
+
+# Plain, cyclic (infinite, odd and even order), product and table groups.
+PARITY_SPECS = [
+    *PLAIN_SPECS,
+    CyclicSpec(0),
+    CyclicSpec(7),
+    CyclicSpec(8),
+    ProductSpec((CyclicSpec(0), CyclicSpec(2))),
+    ProductSpec((CyclicSpec(4), CyclicSpec(3), CyclicSpec(0))),
+    TableSpec(dihedral_table(4)),
+]
+
+
+@given(st.sampled_from(PARITY_SPECS).flatmap(
+    lambda spec: st.tuples(st.just(spec), elements_of(spec), elements_of(spec))
+))
+@settings(max_examples=300, deadline=None)
+def test_parity_is_a_homomorphism_onto_z2(case):
+    spec, a, b = case
+    assert spec.parity(spec.identity()) == 0
+    assert spec.parity(a) in (0, 1)
+    assert spec.parity(spec.multiply(a, b)) == (spec.parity(a) + spec.parity(b)) % 2
+    assert spec.parity(spec.inverse(a)) == spec.parity(a)
+
+
+def test_parity_known_values():
+    assert [CyclicSpec(0).parity(k) for k in (-3, 0, 4)] == [1, 0, 0]
+    assert CyclicSpec(8).parity(5) == 1 and CyclicSpec(7).parity(5) == 0
+    # a^-1 b c^2 d^3 a^2 over Z * Z2 * Z3 * Z4: the exponents of a, b and d
+    # sum to 5, and c, of odd order, does not count.
+    spec = PlainSpec(free_rank=1, factor_orders=(2, 3, 4))
+    assert spec.parity(((0, -1), (1, 1), (2, 2), (3, 3), (0, 2))) == 1
+    assert ProductSpec((CyclicSpec(0), CyclicSpec(2))).parity((3, 1)) == 0
+    assert TableSpec(cyclic_table(4)).parity(1) == 0
+
+
+BALL_SPECS = [
+    *PLAIN_SPECS,
+    PlainSpec(free_rank=1),
+    CyclicSpec(0),
+    CyclicSpec(2),
+    CyclicSpec(7),
+    CyclicSpec(8),
+    ProductSpec((CyclicSpec(0), CyclicSpec(2))),
+    ProductSpec((CyclicSpec(0), CyclicSpec(0))),
+    ProductSpec((CyclicSpec(4), CyclicSpec(3))),
+    TableSpec(cyclic_table(6)),
+]
+RANDOM_BALL_BUDGET = 2000
+
+
+@st.composite
+def random_balls(draw):
+    """(spec, genset, radius): an inverse-closed genset of 1 to 3 random
+    elements and their inverses, in a random order; plain generators have
+    up to two syllables."""
+    spec = draw(st.sampled_from(BALL_SPECS))
+    picked = draw(st.lists(elements_of(spec, syllables=2), min_size=1, max_size=3))
+    gens = {g for g in picked if g != spec.identity()}
+    gens |= {spec.inverse(g) for g in gens}
+    assume(gens)
+    order = draw(st.permutations(sorted(gens, key=repr)))
+    genset = validate_genset(spec, [(f"s{i}", g) for i, g in enumerate(order)])
+    return spec, genset, draw(st.integers(0, 7))
+
+
+def rim_path(case):
+    """None when the ball has no last sphere (or is over budget), else
+    whether the closure fills that sphere from known steps."""
+    spec, gens, radius = case
+    try:
+        ball = cayley_ball(spec, gens, radius, budget=RANDOM_BALL_BUDGET)
+    except BallBudgetError:
+        return None
+    if max(ball.norms) < radius:
+        return None
+    return all(spec.parity(s) for s in gens.elements)
+
+
+@given(random_balls())
+@example((*TWO_SYLLABLES, 5))
+@example((*free_group(2), 5))
+@settings(max_examples=150, deadline=None)
+def test_cayley_ball_matches_two_pass_oracle_on_random_gensets(case):
+    spec, gens, radius = case
+    try:
+        want = two_pass_ball(spec, gens, radius, RANDOM_BALL_BUDGET)
+    except BallBudgetError as exc:
+        with pytest.raises(BallBudgetError) as got:
+            cayley_ball(spec, gens, radius, budget=RANDOM_BALL_BUDGET)
+        assert str(got.value) == str(exc)
+        return
+    elements, norms, complete, _, edge_labels = want
+    ball, acted = recorded_ball(spec, gens, radius, RANDOM_BALL_BUDGET)
+    assert ball.elements == elements
+    assert ball.index == {g: v for v, g in enumerate(elements)}
+    assert ball.norms == norms
+    assert ball.complete == complete
+    steps = [[-1] * len(elements) for _ in gens.labels]
+    for (u, v), label in edge_labels.items():
+        steps[gens.labels.index(label)][u] = v
+    assert ball.steps == steps
+    assert len(acted) == expected_right_actions(ball)
+
+
+@pytest.mark.parametrize("filled", [True, False])
+def test_random_gensets_take_both_rim_paths(filled):
+    """random_balls draws balls whose last sphere is filled from known steps,
+    and balls whose last sphere runs right actions."""
+    found = find(
+        random_balls(),
+        lambda case: rim_path(case) is filled,
+        settings=settings(database=None, max_examples=500),
+    )
+    assert rim_path(found) is filled
+
+
+@pytest.mark.parametrize("group, radius, rim_acts", [
+    (lambda: free_group(2), 4, False),
+    (lambda: cyclic_with_step(5), 2, True),
+    (lambda: plain_group(0, (2, 3)), 6, True),
+])
+def test_last_sphere_runs_right_actions_only_off_all_odd_gensets(group, radius, rim_acts):
+    spec, gens = group()
+    ball, acted = recorded_ball(spec, gens, radius)
+    assert max(ball.norms) == radius
+    assert any(ball.norms[ball.index[a]] == radius for a in acted) == rim_acts
