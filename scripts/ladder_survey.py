@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 
 from geodetic import (
+    CayleyBall,
     SearchScope,
     cayley_ball,
     close_bound_C,
@@ -60,7 +61,7 @@ def build_hosts(cfg):
 
 
 def survey_host(name, host, cfg, scope):
-    if hasattr(host, "graph"):
+    if isinstance(host, CayleyBall):
         k, _ = host.min_geodetic_k()
     else:
         k, _ = min_geodetic_k(host)

@@ -201,7 +201,7 @@ def cmd_check_k(args) -> int:
     min_k, witness = _min_k(_load_host(args))
     ok = min_k <= args.k
     print(f"k-geodetic: {'true' if ok else 'false'} (min k = {min_k})")
-    if args.verbose and witness is not None:
+    if args.verbose:
         u, v = witness
         print(f"witness: {min_k} geodesics between vertices {u} and {v}")
     if args.expect is not None and args.expect != ok:
@@ -212,7 +212,7 @@ def cmd_check_k(args) -> int:
 def cmd_min_k(args) -> int:
     min_k, witness = _min_k(_load_host(args))
     print(f"min k = {min_k}")
-    if args.verbose and witness is not None:
+    if args.verbose:
         u, v = witness
         print(f"witness: {min_k} geodesics between vertices {u} and {v}")
     return 0

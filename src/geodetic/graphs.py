@@ -270,7 +270,7 @@ def _pair_counts(
 ) -> Iterator[tuple[int, int, int, int]]:
     """One (dist, u, v, count) row per source u: its first admitted pair u < v
     in (dist, v) order with the largest count, or with k given, with a count
-    above k, so min_k_of_rows and k_geodetic_of_rows pick from these rows the
+    above k, so min_geodetic_k and is_k_geodetic pick from these rows the
     pair they would pick from all.  For a single-vertex graph the lone pair
     (0, 0) is admitted so that the scan is never empty.
 
@@ -312,33 +312,6 @@ def _pair_counts(
                 yield (d, u, v, dag.counts[v])
 
 
-def min_k_of_rows(rows: Iterable[tuple[int, int, int, int]]) -> tuple[int, tuple[int, int]]:
-    """Largest count among (dist, u, v, count) rows, with its pair.
-
-    Ties go to the first row in (dist, u, v) order.
-    """
-    best = min(rows, key=lambda r: (-r[3], r[0], r[1], r[2]), default=None)
-    if best is None:
-        raise ValueError("no admitted vertex pairs")
-    _, u, v, k = best
-    return k, (u, v)
-
-
-def k_geodetic_of_rows(
-    rows: Iterable[tuple[int, int, int, int]], k: int
-) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Whether no (dist, u, v, count) row has count > k, else the first such pair.
-
-    "First" is in (dist, u, v) order.  k is checked before any row is read.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    violator = min((r for r in rows if r[3] > k), default=None)
-    if violator is None:
-        return True, None
-    return False, (violator[1], violator[2])
-
-
 def min_geodetic_k(
     g: Graph, pair_filter: Optional[Callable[[int, int], bool]] = None
 ) -> tuple[int, tuple[int, int]]:
@@ -356,7 +329,11 @@ def min_geodetic_k(
     same answer from the identity's geodesic counts alone; this function,
     called with ball.is_trusted_pair as the filter, is its oracle.
     """
-    return min_k_of_rows(_pair_counts(g, pair_filter))
+    best = min(_pair_counts(g, pair_filter), key=lambda r: (-r[3], r[0], r[1], r[2]), default=None)
+    if best is None:
+        raise ValueError("no admitted vertex pairs")
+    _, u, v, k = best
+    return k, (u, v)
 
 
 def is_k_geodetic(
@@ -369,7 +346,12 @@ def is_k_geodetic(
     u, v) order.  On a Cayley ball, CayleyBall.is_k_geodetic is the one-BFS
     path and this function its oracle.
     """
-    return k_geodetic_of_rows(_pair_counts(g, pair_filter, k), k)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    violator = min((r for r in _pair_counts(g, pair_filter, k) if r[3] > k), default=None)
+    if violator is None:
+        return True, None
+    return False, (violator[1], violator[2])
 
 
 def is_complete_bipartite(g: Graph) -> Optional[tuple[int, int]]:
@@ -425,10 +407,7 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: unknown directive {parts[0]!r}")
     if vertex_count is None:
         raise GraphFormatError("missing 'graph <vertex_count>' header")
-    try:
-        return build_graph(edges, vertex_count)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc))
+    return build_graph(edges, vertex_count)
 
 
 def format_graph(g: Graph) -> str:

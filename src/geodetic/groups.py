@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .graphs import Graph, k_geodetic_of_rows, min_k_of_rows
+from .graphs import Graph
 from .words import Word
 
 Element = Union[int, tuple]
@@ -618,41 +618,41 @@ class CayleyBall:
         """Whether ball distances and geodesics between u and v match the group's."""
         return self.complete or self.norms[u] + self.norms[v] <= self.radius
 
-    def _identity_rows(self):
-        """(dist, 0, w, count) rows standing for every trusted pair.
+    def _identity_counts(self) -> list[int]:
+        """counts[w]: the number of geodesics from 1 to w, standing for every trusted pair.
 
         Left translation by u^-1 maps the geodesics from u to v onto those
         from 1 to w = u^-1 v, and |w| = d(u, v) <= |u| + |v|, so for a
-        trusted pair w lies in the ball and count(u, v) = count(0, w); every
+        trusted pair w lies in the ball and count(u, v) = counts[w]; every
         geodesic from 1 to w stays within norm |w|, so the identity BFS
         counts it exactly.  On a complete ball the graph is the whole,
-        vertex-transitive Cayley graph.  So every trusted pair has a row
-        with its distance and count, and u = 0 is the least u: the first
-        row in (dist, 0, w) order with a given count is the first such pair
-        in (dist, u, v) order.
+        vertex-transitive Cayley graph.  Vertex ids grow with the norm, and
+        u = 0 is the least u, so the first w with a given count gives the
+        first such pair (0, w) in (dist, u, v) order.
 
         The identity BFS is read off norms and steps, with no Graph: the
         vertices come in BFS order, and counts[u] passes to each u·s one
         norm further out (the generators are distinct, so each edge once).
         """
-        n, norms = self.vertex_count, self.norms
-        if n == 1:
-            return [(0, 0, 0, 1)]
-        counts = [1] + [0] * (n - 1)
+        norms = self.norms
+        counts = [1] + [0] * (self.vertex_count - 1)
         for u, column in enumerate(zip(*self.steps)):
             c, up = counts[u], norms[u] + 1
             for v in column:
                 if v >= 0 and norms[v] == up:
                     counts[v] += c
-        return ((norms[w], 0, w, counts[w]) for w in range(1, n))
+        return counts
 
     def min_geodetic_k(self) -> tuple[int, tuple[int, int]]:
         """Smallest k with at most k geodesics per trusted pair, with a witness.
 
         The same value and witness as graphs.min_geodetic_k(ball.graph,
-        ball.is_trusted_pair), from the geodesic counts at the identity.
+        ball.is_trusted_pair), from the geodesic counts at the identity;
+        the one-vertex ball gives 1 with witness (0, 0).
         """
-        return min_k_of_rows(self._identity_rows())
+        counts = self._identity_counts()
+        w = max(range(1, len(counts)), key=counts.__getitem__, default=0)
+        return counts[w], (0, w)
 
     def is_k_geodetic(self, k: int) -> tuple[bool, Optional[tuple[int, int]]]:
         """Whether every trusted pair has at most k geodesics, else the first violator.
@@ -660,7 +660,12 @@ class CayleyBall:
         The same verdict and pair as graphs.is_k_geodetic(ball.graph, k,
         ball.is_trusted_pair), from the geodesic counts at the identity.
         """
-        return k_geodetic_of_rows(self._identity_rows(), k)
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        for w, c in enumerate(self._identity_counts()):
+            if c > k:
+                return False, (0, w)
+        return True, None
 
 
 def cayley_ball(

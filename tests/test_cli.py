@@ -746,6 +746,28 @@ def test_group_commands_require_a_group(capsys, argv):
     assert run(capsys, argv) == (2, "", "error: pass --group FILE\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("graph 2\ngraph 2\n", "line 2: duplicate graph header"),
+        ("graph\n", "line 1: expected 'graph <vertex_count>'"),
+        ("graph 2\ne 0\n", "line 2: expected 'e <u> <v>'"),
+        ("graph 2\ne 0 x\n", "line 2: bad edge endpoints"),
+        ("graph 2\n# edges\nv 0\n", "line 3: unknown directive 'v'"),
+        ("# no header\n\n", "missing 'graph <vertex_count>' header"),
+        ("graph 2\ne 0 2\n", "edge (0, 2) out of range"),
+        ("graph 2\ne 1 1\n", "self-loop at vertex 1"),
+        ("graph -1\n", "vertex_count must be nonnegative"),
+    ],
+    ids=["duplicate-header", "header-arity", "edge-arity", "edge-endpoints", "directive",
+         "no-header", "edge-range", "self-loop", "negative-count"],
+)
+def test_graph_file_errors_are_reported(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.g"
+    path.write_text(text)
+    assert run(capsys, ["min-k", "--graph", str(path)]) == (2, "", f"error: {message}\n")
+
+
 def test_both_hosts_rejected(capsys, c4, c6):
     code, _, err = run(capsys, ["min-k", "--graph", c4, "--group", c6])
     assert code == 2 and "not both" in err

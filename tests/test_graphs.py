@@ -40,6 +40,7 @@ from geodetic.zoo import (
     z_cross_z2,
 )
 import random
+import re
 from unittest import mock
 
 from oracles import (
@@ -425,6 +426,23 @@ def test_build_graph_validation():
         build_graph([(0, 5)], 3)
     # duplicate mentions of one edge collapse
     assert build_graph([(0, 1), (1, 0)], 2).edge_count == 1
+
+
+@pytest.mark.parametrize(
+    "vertex_count, adjacency, message",
+    [
+        (2, [[1]], "adjacency length disagrees with vertex_count"),
+        (2, [[2], []], "vertex 2 out of range in adjacency of 0"),
+        (2, [[0], []], "self-loop at vertex 0"),
+        (2, [[1], []], "edge 0-1 is not symmetric"),
+    ],
+    ids=["length", "range", "self-loop", "asymmetric"],
+)
+def test_graph_constructor_errors(vertex_count, adjacency, message):
+    # No graph file reaches these: build_graph makes a symmetric adjacency
+    # of the right length and rejects bad endpoints itself.
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        graphs.Graph(vertex_count, adjacency)
 
 
 def test_parse_format_roundtrip():

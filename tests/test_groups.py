@@ -334,23 +334,8 @@ K_GROUPS = [
     (lambda: cyclic_with_step(12, 5), 6),
 ]
 K_BALLS = st.sampled_from(K_GROUPS).flatmap(
-    lambda entry: st.tuples(st.just(entry[0]), st.integers(0, entry[1]))
+    lambda entry: st.integers(0, entry[1]).map(lambda radius: (*entry[0](), radius))
 )
-
-
-@given(K_BALLS)
-@settings(max_examples=80, deadline=None)
-def test_ball_min_k_matches_all_pairs_oracle(group_and_radius):
-    group, radius = group_and_radius
-    ball = cayley_ball(*group(), radius)
-    fast = ball.min_geodetic_k()
-    assert ball._graph is None  # counted over steps, with no graph built
-    k = fast[0]
-    assert fast == min_geodetic_k(ball.graph, ball.is_trusted_pair)
-    for j in sorted({1, k - 1, k} - {0}):
-        assert ball.is_k_geodetic(j) == is_k_geodetic(ball.graph, j, ball.is_trusted_pair)
-    with pytest.raises(ValueError):
-        ball.is_k_geodetic(0)
 
 
 def test_ball_min_k_known_values():
@@ -771,6 +756,28 @@ def test_cayley_ball_matches_two_pass_oracle_on_random_gensets(case):
         steps[gens.labels.index(label)][u] = v
     assert ball.steps == steps
     assert len(acted) == expected_right_actions(ball)
+
+
+# The witness and the violator are the first pairs in (dist, u, v) order, so
+# they depend on the vertex numbering: random gensets, two-syllable
+# generators and shuffled labels renumber the ball.
+@given(st.one_of(K_BALLS, random_balls()))
+@example((*TWO_SYLLABLES, 5))
+@settings(max_examples=150, deadline=None)
+def test_ball_min_k_matches_all_pairs_oracle(case):
+    spec, gens, radius = case
+    try:
+        ball = cayley_ball(spec, gens, radius, budget=RANDOM_BALL_BUDGET)
+    except BallBudgetError:
+        return
+    fast = ball.min_geodetic_k()
+    assert ball._graph is None  # counted over steps, with no graph built
+    k = fast[0]
+    assert fast == min_geodetic_k(ball.graph, ball.is_trusted_pair)
+    for j in sorted({1, k - 1, k} - {0}):
+        assert ball.is_k_geodetic(j) == is_k_geodetic(ball.graph, j, ball.is_trusted_pair)
+    with pytest.raises(ValueError):
+        ball.is_k_geodetic(0)
 
 
 @pytest.mark.parametrize("filled", [True, False])
