@@ -11,9 +11,9 @@ length <= R evaluates inside the radius-R ball, and all geodesics from the
 identity to a ball member stay inside, so no query silently leaves the
 trusted region.  Words are read by walking CayleyBall.steps from vertex
 to vertex; every step starts at a vertex of norm < R, so no walk meets a
--1.  Only power_language and centraliser_in_ball multiply elements.
-power_language reads the geodesic words of every power off norms and
-steps, by the recurrence of _geodesic_words.  Nothing here reads
+-1.  The forbidden-factor and local-exclusion walks visit states (a vertex
+with its first letter or automaton state), not words.  Only power_language
+and centraliser_in_ball multiply elements.  Nothing here reads
 CayleyBall.graph, so the language commands build no graph and run no BFS.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .groups import CayleyBall, Element, word_to_element
 from .words import EMPTY_WORD, Word, format_word, parse_word
@@ -83,31 +83,37 @@ def minimal_forbidden_factors(ball: CayleyBall, e: int) -> ForbiddenSet:
 
     A word is minimal when it is non-geodesic and both maximal proper
     factors are geodesic (factors of geodesics are geodesic, so this covers
-    every proper factor).  Grown layer by layer over geodesic words only,
-    each carried with its vertex and the vertex of its suffix w[1:], so the
-    suffix test of an extension w·s is one norm lookup at that suffix
-    vertex's step under s.  The walk steps only from vertices of norm < e
-    and compares norms <= e, so the answer depends only on the radius-e
-    ball: on any larger ball, whose radius-e prefix is the same, it is the
-    same.
+    every proper factor).  The walk visits states, not words: a geodesic
+    word w with first letter a is the vertex u of w and the vertex t of
+    w[1:] = a⁻¹u, since whether w·s is geodesic or minimal forbidden depends
+    only on (u, t, s), and the words of the state are the a·w' over the
+    geodesic words w' of t.  Only forbidden triples (a, t, s) become words.
+    The walk steps only from vertices of norm < e and compares norms <= e,
+    so the answer depends only on the radius-e ball, as on any larger one.
     """
     check_factor_length(e, ball.radius)
     norms = ball.norms
     moves = sorted(zip(ball.genset.labels, ball.steps))
-    forbidden: list[Word] = []
-    # (w, vertex of w, vertex of w[1:]); every generator has norm 1.
-    layer = [((letter,), row[0], 0) for letter, row in moves]
-    for length in range(2, e + 1):
-        new_layer = []
-        for w, u, t in layer:
-            for letter, row in moves:
-                v = row[u]
-                if norms[v] == length:
-                    new_layer.append((w + (letter,), v, row[t]))
-                elif norms[row[t]] == length - 1:
-                    forbidden.append(w + (letter,))
-        layer = new_layer
-    return ForbiddenSet(e, frozenset(forbidden))
+    words_of = _geodesic_words(ball)
+    words: list[Word] = []  # grouped by first letter, then by length
+    for first, row in moves:
+        # {vertex u of w: vertex of w[1:]}; every generator has norm 1.
+        layer = {row[0]: 0}
+        for length in range(2, e + 1):
+            new_layer = {}
+            for u, t in layer.items():
+                ends = []
+                for letter, step in moves:
+                    v = step[u]
+                    if norms[v] == length:
+                        new_layer[v] = step[t]
+                    elif norms[step[t]] == length - 1:
+                        ends.append(letter)
+                if ends:  # this state's forbidden triples (first, t, s): words first·w'·s
+                    heads = [(first,) + w for w in words_of(t)]
+                    words.extend([head + (s,) for head in heads for s in ends])
+            layer = new_layer
+    return ForbiddenSet(e, frozenset(words))
 
 
 class FactorAutomaton:
@@ -212,10 +218,11 @@ def check_locally_excluding(
     """Exhaustively verify F characterizes geodesics up to test_len.
 
     Passes when every word w with |w| <= test_len satisfies: w geodesic iff
-    w has no factor in F.  The walk only extends geodesic prefixes, which
-    still covers every geodesic word and every minimal non-geodesic word;
-    any longer non-geodesic word contains a minimal one, so the check is
-    complete.  Returns the first (shortlex) counterexample on failure.
+    w has no factor in F.  The walk extends geodesic prefixes only, covering
+    every geodesic and every minimal non-geodesic word, which any longer
+    non-geodesic word contains.  All that follows a word depends only on its
+    vertex and automaton state, so a layer keeps the first word to reach each
+    pair; the first (shortlex) counterexample, returned on failure, stays.
     """
     if test_len < 0:
         raise ValueError("test_len must be nonnegative")
@@ -223,14 +230,15 @@ def check_locally_excluding(
         raise BallRangeError(f"test_len={test_len} exceeds the ball radius {ball.radius}")
     moves = sorted(zip(ball.genset.labels, ball.steps))
     automaton = build_factor_automaton(forbidden, ball.genset.labels)
-    if automaton.start == automaton.dead:
-        # λ is forbidden yet geodesic.
+    if automaton.start == automaton.dead:  # λ is forbidden yet geodesic
         return False, EMPTY_WORD
     norms, transitions, dead = ball.norms, automaton.transitions, automaton.dead
-    # (vertex, automaton state, path) for each geodesic word of one length,
-    # in breadth-first order; path is (path of the word minus its last
-    # letter, that letter), and None for λ.
+    # (vertex, automaton state, (parent path, last letter) or None for λ) of
+    # the first geodesic word of one length to reach each (vertex, state).  v
+    # is met in layer norms[v] only: first[v] is its first state, others the later pairs.
     layer: list[tuple[int, int, Optional[tuple]]] = [(0, automaton.start, None)]
+    first: list[Optional[int]] = [None] * len(norms)
+    others: set[tuple[int, int]] = set()
     for length in range(1, test_len + 1):
         new_layer = []
         for u, state, path in layer:
@@ -238,10 +246,16 @@ def check_locally_excluding(
             for letter, row in moves:
                 v = row[u]
                 st = goto[letter]
-                geodesic = norms[v] == length
-                if geodesic == (st == dead):
+                if norms[v] != length:
+                    if st != dead:
+                        return False, _path_word((path, letter))
+                elif st == dead:
                     return False, _path_word((path, letter))
-                if geodesic:
+                elif first[v] is None:
+                    first[v] = st
+                    new_layer.append((v, st, (path, letter)))
+                elif first[v] != st and (v, st) not in others:
+                    others.add((v, st))
                     new_layer.append((v, st, (path, letter)))
         layer = new_layer
     return True, None
@@ -349,43 +363,44 @@ def _detect_stabilization(languages: Sequence[tuple[Word, ...]]) -> Optional[Sta
     return None
 
 
-def _geodesic_words(
-    norms: Sequence[int],
-    back: Sequence[tuple[str, Sequence[int]]],
-    v: int,
-    memo: dict[int, list[Word]],
-) -> list[Word]:
-    """Every geodesic word from the identity to vertex v, memoised in memo.
+def _geodesic_words(ball: CayleyBall) -> Callable[[int], list[Word]]:
+    """A function from a vertex v to every geodesic word from 1 to v, memoised across calls.
 
     A geodesic word ending in s reaches v from u = v·s⁻¹ with norms[u] =
     norms[v] - 1, so the words of v are those of each such u extended by s;
-    back lists (label of s, row of s⁻¹ in steps).  memo must hold
-    {0: [()]}.  The vertices still missing are gathered with an explicit
-    stack and filled in increasing vertex order, which is BFS order, so
-    each one's predecessors come first and no recursion depth grows with
-    norms[v].
+    u is read off the row of s⁻¹ in steps.  The vertices still missing are
+    gathered with an explicit stack and filled in increasing vertex order,
+    which is BFS order, so each one's predecessors come first and no
+    recursion depth grows with norms[v].
     """
-    todo = []
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        if x in memo:
-            continue
-        memo[x] = []  # scheduled; filled below
-        todo.append(x)
-        down = norms[x] - 1
-        for _, row in back:
-            u = row[x]
-            if u >= 0 and norms[u] == down and u not in memo:
-                stack.append(u)
-    for x in sorted(todo):
-        down = norms[x] - 1
-        words = memo[x]
-        for label, row in back:
-            u = row[x]
-            if u >= 0 and norms[u] == down:
-                words.extend(w + (label,) for w in memo[u])
-    return memo[v]
+    norms = ball.norms
+    rows = dict(zip(ball.genset.labels, ball.steps))
+    back = [(label, rows[ball.genset.inverse_label[label]]) for label in ball.genset.labels]
+    memo: dict[int, list[Word]] = {0: [EMPTY_WORD]}
+
+    def words_of(v: int) -> list[Word]:
+        todo = []
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            if x in memo:
+                continue
+            memo[x] = []  # scheduled; filled below
+            todo.append(x)
+            down = norms[x] - 1
+            for _, row in back:
+                u = row[x]
+                if u >= 0 and norms[u] == down and u not in memo:
+                    stack.append(u)
+        for x in sorted(todo):
+            down = norms[x] - 1
+            words = memo[x]
+            for label, row in back:
+                u = row[x]
+                if u >= 0 and norms[u] == down:
+                    words.extend(w + (label,) for w in memo[u])
+        return memo[v]
+    return words_of
 
 
 def power_language(ball: CayleyBall, g_word: Word, n_max: int) -> PowerLanguageReport:
@@ -403,9 +418,7 @@ def power_language(ball: CayleyBall, g_word: Word, n_max: int) -> PowerLanguageR
     order = spec.element_order(g)
     if order is not None:
         raise FiniteOrderError(f"base element has finite order {order}")
-    rows = dict(zip(ball.genset.labels, ball.steps))
-    back = [(label, rows[ball.genset.inverse_label[label]]) for label in ball.genset.labels]
-    memo: dict[int, list[Word]] = {0: [EMPTY_WORD]}
+    words_of = _geodesic_words(ball)
     languages = []
     e = spec.identity()
     for n in range(n_max + 1):
@@ -415,7 +428,7 @@ def power_language(ball: CayleyBall, g_word: Word, n_max: int) -> PowerLanguageR
             raise BallRangeError(
                 f"power {n} of the base element leaves the radius-{ball.radius} ball"
             )
-        languages.append(tuple(sorted(_geodesic_words(ball.norms, back, v, memo))))
+        languages.append(tuple(sorted(words_of(v))))
         e = spec.multiply(e, g)
     stab = _detect_stabilization(languages)
     return PowerLanguageReport(tuple(g_word), tuple(languages), stab)
@@ -443,6 +456,8 @@ def parse_forbidden_file(text: str) -> ForbiddenSet:
         if not line:
             continue
         if line.startswith("forbidden"):
+            if e is not None:
+                raise ValueError(f"line {lineno}: duplicate 'forbidden' header")
             parts = line.split()
             value = parts[1][2:] if len(parts) == 2 and parts[1].startswith("e=") else ""
             try:

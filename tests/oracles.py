@@ -14,6 +14,10 @@ with every pruning step spelled out, the power languages read off the
 ball graph's geodesic enumeration, each path's labels found by multiplying
 in the group, and the forbidden-factor and local-exclusion walks over whole
 words rather than the vertices of their suffixes and parents.
+naive_forbidden_factors and naive_locally_excluding sit between those and
+the library's state walks: they carry every geodesic word through each
+layer, with its vertex and that of its suffix, or with its vertex,
+automaton state and path.
 """
 
 from __future__ import annotations
@@ -33,7 +37,14 @@ from geodetic.geometry import (
 )
 from geodetic.graphs import Graph, PathSeq, build_graph, enumerate_geodesics
 from geodetic.groups import BallBudgetError, CayleyBall, word_to_element
-from geodetic.lang import build_factor_automaton
+from geodetic.lang import (
+    BallRangeError,
+    ForbiddenSet,
+    _path_word,
+    build_factor_automaton,
+    check_factor_length,
+)
+from geodetic.words import EMPTY_WORD, Word
 
 
 def dfs_walks_of_length(g: Graph, u: int, v: int, n: int) -> list[tuple[int, ...]]:
@@ -666,4 +677,66 @@ def naive_check_locally_excluding(ball: CayleyBall, forbidden, test_len: int):
                 return False, x
             if geodesic:
                 queue.append((x, v, st))
+    return True, None
+
+
+def naive_forbidden_factors(ball: CayleyBall, e: int) -> ForbiddenSet:
+    """minimal_forbidden_factors as a walk over every geodesic word.
+
+    Each layer carries every geodesic word w with its vertex and the vertex
+    of its suffix w[1:]; an extension w·s that is not geodesic is minimal
+    when the suffix vertex's step under s has norm |w|.
+    """
+    check_factor_length(e, ball.radius)
+    norms = ball.norms
+    moves = sorted(zip(ball.genset.labels, ball.steps))
+    forbidden: list[Word] = []
+    # (w, vertex of w, vertex of w[1:]); every generator has norm 1.
+    layer = [((letter,), row[0], 0) for letter, row in moves]
+    for length in range(2, e + 1):
+        new_layer = []
+        for w, u, t in layer:
+            for letter, row in moves:
+                v = row[u]
+                if norms[v] == length:
+                    new_layer.append((w + (letter,), v, row[t]))
+                elif norms[row[t]] == length - 1:
+                    forbidden.append(w + (letter,))
+        layer = new_layer
+    return ForbiddenSet(e, frozenset(forbidden))
+
+
+def naive_locally_excluding(ball: CayleyBall, forbidden, test_len: int):
+    """check_locally_excluding as a walk over every geodesic word.
+
+    Each layer carries every geodesic word, in shortlex order, as its
+    vertex, automaton state and (parent path, letter) chain.
+    """
+    if test_len < 0:
+        raise ValueError("test_len must be nonnegative")
+    if test_len > ball.radius:
+        raise BallRangeError(f"test_len={test_len} exceeds the ball radius {ball.radius}")
+    moves = sorted(zip(ball.genset.labels, ball.steps))
+    automaton = build_factor_automaton(forbidden, ball.genset.labels)
+    if automaton.start == automaton.dead:
+        # λ is forbidden yet geodesic.
+        return False, EMPTY_WORD
+    norms, transitions, dead = ball.norms, automaton.transitions, automaton.dead
+    # (vertex, automaton state, path) for each geodesic word of one length,
+    # in breadth-first order; path is (path of the word minus its last
+    # letter, that letter), and None for λ.
+    layer: list[tuple[int, int, Optional[tuple]]] = [(0, automaton.start, None)]
+    for length in range(1, test_len + 1):
+        new_layer = []
+        for u, state, path in layer:
+            goto = transitions[state]
+            for letter, row in moves:
+                v = row[u]
+                st = goto[letter]
+                geodesic = norms[v] == length
+                if geodesic == (st == dead):
+                    return False, _path_word((path, letter))
+                if geodesic:
+                    new_layer.append((v, st, (path, letter)))
+        layer = new_layer
     return True, None

@@ -534,6 +534,13 @@ def test_forbidden_file_header_names_its_line(capsys, tmp_path):
         assert result == (2, "", f"error: line {lineno}: expected 'forbidden e=<e>'\n")
 
 
+def test_forbidden_file_rejects_a_second_header(capsys, tmp_path):
+    fset = tmp_path / "fset.txt"
+    fset.write_text("forbidden e=2\nforbidden e=3\naA\n")
+    assert run(capsys, ["automaton", str(fset)]) == (
+        2, "", "error: line 2: duplicate 'forbidden' header\n")
+
+
 @pytest.mark.parametrize("command", ["forbidden", "automaton"])
 def test_language_commands_build_the_ball_to_radius_e(capsys, tmp_path, monkeypatch, command):
     radii = []

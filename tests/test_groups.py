@@ -310,13 +310,14 @@ def product_group(*orders):
     return spec, validate_genset(spec, pairs)
 
 
-# (group, largest radius) for the identity-BFS path: radii run to 6, except
-# where the all-pairs oracle would take seconds (F2: 1,457 vertices at 6;
-# Z*Z2*Z3: 4,398).  The finite groups become complete balls (the whole,
-# vertex-transitive Cayley graph) at small radii.
+# (group, largest radius) for the identity-BFS path: radii run to 6.  Z*Z2*Z3
+# is left out: at radius 6 its 4,398 vertices are past the n <= 4,096 guard
+# of the bit-parallel pass, and the all-pairs oracle would take seconds.
+# The finite groups become complete balls (the whole, vertex-transitive
+# Cayley graph) at small radii.
 K_GROUPS = [
     (infinite_cyclic, 6),
-    (lambda: free_group(2), 5),
+    (lambda: free_group(2), 6),
     (z2_star_z2, 6),
     (lambda: plain_group(0, (2, 2, 2)), 6),
     (lambda: plain_group(1, (2, 3)), 4),

@@ -27,13 +27,23 @@ from geodetic.lang import (
 )
 from geodetic.groups import word_to_element
 from geodetic.words import parse_word
-from geodetic.zoo import free_group, infinite_cyclic, plain_group, z2_star_z2, z_cross_z2
+from geodetic.zoo import (
+    cyclic_odd_powers,
+    cyclic_with_step,
+    free_group,
+    infinite_cyclic,
+    plain_group,
+    z2_star_z2,
+    z_cross_z2,
+)
 
 from oracles import (
     has_factor_naive,
     naive_check_locally_excluding,
     naive_factor_automaton,
     naive_fit_tail,
+    naive_forbidden_factors,
+    naive_locally_excluding,
     naive_minimal_forbidden_factors,
     naive_power_languages,
 )
@@ -167,6 +177,60 @@ def test_language_walks_match_the_word_set_oracles(group, radius):
             got = check_locally_excluding(ball, words, test_len)
             assert got == naive_check_locally_excluding(ball, words, test_len)
         assert got[0] == (i == 0)
+
+
+def z_cubed():
+    spec = ProductSpec((CyclicSpec(0),) * 3)
+    units = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    pairs = [(f"{c}{mark}", u if not mark else spec.inverse(u))
+             for c, u in zip("abc", units) for mark in ("", "'")]
+    return spec, validate_genset(spec, pairs)
+
+
+# (name, group, largest radius) for the state walks against the word walks:
+# radii up to 8, but F3 stops at 6, where its ball holds 23,437 vertices.
+STATE_WALK_GROUPS = [
+    ("F2", lambda: free_group(2), 8),
+    ("F3", lambda: free_group(3), 6),
+    ("Z2*Z2", z2_star_z2, 8),
+    ("Z2*Z3", lambda: plain_group(0, (2, 3)), 8),
+    ("Z*Z3", lambda: plain_group(1, (3,)), 8),
+    ("Z2*Z2*Z2", lambda: plain_group(0, (2, 2, 2)), 8),
+    ("Z4*Z4", lambda: plain_group(0, (4, 4)), 8),
+    ("Z", infinite_cyclic, 8),
+    ("ZxZ", z_cross_z, 8),
+    ("ZxZ2", z_cross_z2, 8),
+    ("Z^3", z_cubed, 8),
+    ("K_3,3", lambda: cyclic_odd_powers(3), 8),
+    ("K_4,4", lambda: cyclic_odd_powers(4), 8),
+    ("C8 step 3", lambda: cyclic_with_step(8, 3), 8),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_state_walks_match_the_word_walks(data):
+    """The state walks return the ForbiddenSet and the (verdict,
+    counterexample) of the walks over every geodesic word, for every e, and
+    for the full set, the set with one word dropped and a few drawn words
+    added, which may be geodesic or reach one vertex in several states."""
+    _, group, top = data.draw(st.sampled_from(STATE_WALK_GROUPS), label="group")
+    radius = data.draw(st.integers(1, top), label="radius")
+    ball = cayley_ball(*group(), radius)
+    for e in range(1, radius + 1):
+        assert minimal_forbidden_factors(ball, e) == naive_forbidden_factors(ball, e)
+    forbidden = minimal_forbidden_factors(ball, data.draw(st.integers(1, radius), label="e"))
+    test_len = data.draw(st.integers(0, radius), label="test_len")
+    trials = [forbidden.words]
+    if forbidden.words:
+        dropped = data.draw(st.sampled_from(forbidden.sorted_words()), label="dropped")
+        trials.append(forbidden.words - {dropped})
+    letters = sorted(ball.genset.labels)
+    word = st.lists(st.sampled_from(letters), min_size=1, max_size=radius).map(tuple)
+    trials.append(trials[-1] | set(data.draw(st.lists(word, max_size=3), label="added")))
+    for words in trials:
+        got = check_locally_excluding(ball, words, test_len)
+        assert got == naive_locally_excluding(ball, words, test_len)
 
 
 def test_automaton_knowns():
