@@ -348,83 +348,96 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (handler, help, shared options, the subcommand's own arguments).
+# Shared options come first, in the order graph, group, radius, scope, then
+# --verbose; the own arguments follow in the order given.
+COMMANDS = {
+    "ball": (cmd_ball, "build a Cayley ball and summarize it", ("group", "radius"), [
+        ("--dot", dict(metavar="FILE", help="also write the ball graph as DOT")),
+    ]),
+    "check-k": (cmd_check_k, "test k-geodeticity", ("graph", "group", "radius"), [
+        ("--k", dict(type=int, required=True, help="geodeticity constant to test")),
+        ("--expect", dict(type=_bool_flag, help="exit 1 unless the verdict matches")),
+    ]),
+    "min-k": (cmd_min_k, "smallest k with at most k geodesics per pair",
+              ("graph", "group", "radius"), []),
+    "ladders": (cmd_ladders, "search for ladder-like geodesic pairs",
+                ("graph", "group", "radius", "scope"), [
+        ("--m", dict(type=int, default=1, help="width (synchronized distance)")),
+        ("--k", dict(type=int, help="verified geodeticity constant (computed when absent)")),
+    ]),
+    "bigons": (cmd_bigons, "enumerate geodesic bigons", ("graph", "group", "radius", "scope"), []),
+    "triangles": (cmd_triangles, "enumerate geodesic triangles",
+                  ("graph", "group", "radius", "scope"), []),
+    "forbidden": (cmd_forbidden, "minimal non-geodesic factors of the ball language",
+                  ("group", "radius"), [
+        ("--e", dict(type=int, required=True, help="max factor length")),
+    ]),
+    "automaton": (cmd_automaton, "factor-excluding automaton as a transition table",
+                  ("group", "radius"), [
+        ("file", dict(nargs="?", help="forbidden-set file (instead of --group)")),
+        ("--e", dict(type=int, help="max factor length when deriving from a group")),
+        ("--dot", dict(metavar="FILE", help="also write the automaton as DOT")),
+    ]),
+    "powers": (cmd_powers, "geodesic languages of powers of a base word", ("group", "radius"), [
+        ("word", dict(help="base word in generator labels")),
+        ("--nmax", dict(type=int, default=6, help="largest power analyzed")),
+    ]),
+    "centraliser": (cmd_centraliser, "ball elements commuting with a given one",
+                    ("group", "radius"), [
+        ("word", dict(help="word in generator labels naming the element")),
+    ]),
+    "word-tool": (cmd_word_tool, "standalone word utilities", (), [
+        ("action", dict(choices=["primitive-root", "solve-zx-yz", "common-root"])),
+        ("words", dict(nargs="+", help="word arguments (apostrophe marks an inverse)")),
+    ]),
+    "export-dot": (cmd_export_dot, "write a graph or ball as DOT", ("graph", "group", "radius"), [
+        ("--dot", dict(metavar="FILE", help="output file (stdout when absent)")),
+    ]),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The argument parser, with every subcommand or, given its name, just one.
+
+    A one-subcommand parser spells out every name in the top-level usage,
+    as the full one does, so it prints the same help and errors for its
+    subcommand; the full one keeps the default metavar, which also names
+    the subcommand argument in its own errors.
+    """
     parser = argparse.ArgumentParser(
         prog="geodetic",
         description="Geodesic counting, Cayley balls, ladder bounds, and geodesic languages.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, **flags):
+    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (func, help_text, shared, own) in COMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_text)
-        if flags.get("graph"):
+        if "graph" in shared:
             p.add_argument("--graph", metavar="FILE", help="graph file")
-        if flags.get("group"):
+        if "group" in shared:
             p.add_argument("--group", metavar="FILE", help="group file")
-        if flags.get("radius"):
+        if "radius" in shared:
             p.add_argument("--radius", type=int, help="ball radius (overrides the file default)")
-        if flags.get("scope"):
+        if "scope" in shared:
             p.add_argument("--scope-pairs", type=int, default=SearchScope.max_pairs,
                            help="max vertex pairs scanned")
             p.add_argument("--scope-geodesics", type=int, default=SearchScope.max_geodesics,
                            help="max geodesics per pair")
         p.add_argument("--verbose", action="store_true", help="add human-oriented detail")
         p.set_defaults(func=func)
-        return p
-
-    p = add("ball", cmd_ball, "build a Cayley ball and summarize it", group=True, radius=True)
-    p.add_argument("--dot", metavar="FILE", help="also write the ball graph as DOT")
-
-    p = add("check-k", cmd_check_k, "test k-geodeticity", graph=True, group=True, radius=True)
-    p.add_argument("--k", type=int, required=True, help="geodeticity constant to test")
-    p.add_argument("--expect", type=_bool_flag, help="exit 1 unless the verdict matches")
-
-    add("min-k", cmd_min_k, "smallest k with at most k geodesics per pair",
-        graph=True, group=True, radius=True)
-
-    p = add("ladders", cmd_ladders, "search for ladder-like geodesic pairs",
-            graph=True, group=True, radius=True, scope=True)
-    p.add_argument("--m", type=int, default=1, help="width (synchronized distance)")
-    p.add_argument("--k", type=int, help="verified geodeticity constant (computed when absent)")
-
-    add("bigons", cmd_bigons, "enumerate geodesic bigons",
-        graph=True, group=True, radius=True, scope=True)
-
-    add("triangles", cmd_triangles, "enumerate geodesic triangles",
-        graph=True, group=True, radius=True, scope=True)
-
-    p = add("forbidden", cmd_forbidden, "minimal non-geodesic factors of the ball language",
-            group=True, radius=True)
-    p.add_argument("--e", type=int, required=True, help="max factor length")
-
-    p = add("automaton", cmd_automaton, "factor-excluding automaton as a transition table",
-            group=True, radius=True)
-    p.add_argument("file", nargs="?", help="forbidden-set file (instead of --group)")
-    p.add_argument("--e", type=int, help="max factor length when deriving from a group")
-    p.add_argument("--dot", metavar="FILE", help="also write the automaton as DOT")
-
-    p = add("powers", cmd_powers, "geodesic languages of powers of a base word",
-            group=True, radius=True)
-    p.add_argument("word", help="base word in generator labels")
-    p.add_argument("--nmax", type=int, default=6, help="largest power analyzed")
-
-    p = add("centraliser", cmd_centraliser, "ball elements commuting with a given one",
-            group=True, radius=True)
-    p.add_argument("word", help="word in generator labels naming the element")
-
-    p = add("word-tool", cmd_word_tool, "standalone word utilities")
-    p.add_argument("action", choices=["primitive-root", "solve-zx-yz", "common-root"])
-    p.add_argument("words", nargs="+", help="word arguments (apostrophe marks an inverse)")
-
-    p = add("export-dot", cmd_export_dot, "write a graph or ball as DOT",
-            graph=True, group=True, radius=True)
-    p.add_argument("--dot", metavar="FILE", help="output file (stdout when absent)")
-
+        for flag, options in own:
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand; only its parser is built when argv starts with its name."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -279,7 +279,9 @@ def _pair_counts(
     first: if every pair has one geodesic, no row is needed with k given,
     and without k the answer is the first admitted edge.  Otherwise, or
     when no edge is admitted, each other source with an admitted partner
-    runs one bfs_dag, dropped before the next.
+    runs one bfs_dag, dropped before the next.  With no filter a source's
+    row is a slice of its counts, and with k given a source whose slice
+    maximum is at most k is skipped.
     """
     n = g.vertex_count
     if n == 0:
@@ -302,14 +304,29 @@ def _pair_counts(
                 yield (1, u, v, 1)
                 return
     for u in range(n):
-        vs = [v for v in range(u + 1, n) if pair_filter is None or pair_filter(u, v)]
-        if vs:
-            dag = bfs_dag(g, u) if u else dag0
-            top = max(map(dag.counts.__getitem__, vs)) if k is None else k + 1
-            best = [(dag.dist[v], v) for v in vs if dag.counts[v] >= top]
-            if best:
-                d, v = min(best)
-                yield (d, u, v, dag.counts[v])
+        if pair_filter is None:
+            vs = range(u + 1, n)
+        else:
+            vs = [v for v in range(u + 1, n) if pair_filter(u, v)]
+        if not vs:
+            continue
+        dag = bfs_dag(g, u) if u else dag0
+        counts = dag.counts
+        if k is None:
+            # Only the few v that reach the row's maximum are walked, each
+            # found by index; with no filter the row is a slice of counts.
+            row = counts[u + 1 :] if pair_filter is None else [counts[v] for v in vs]
+            top, i, best = max(row), -1, []
+            for _ in range(row.count(top)):
+                i = row.index(top, i + 1)
+                best.append(vs[i])
+        elif pair_filter is None and max(counts[u + 1 :]) <= k:
+            continue
+        else:
+            best = [v for v in vs if counts[v] > k]
+        if best:
+            d, v = min((dag.dist[v], v) for v in best)
+            yield (d, u, v, counts[v])
 
 
 def min_geodetic_k(

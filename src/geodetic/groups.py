@@ -4,8 +4,10 @@ A GroupSpec supplies identity/multiply/inverse over hashable canonical
 element forms: residues for cyclic groups, indices for multiplication
 tables, component tuples for direct products, and reduced alternating
 syllable tuples for plain groups (free products of Z copies and finite
-cyclic factors).  Balls are built by breadth-first closure of the identity
-under an inverse-closed generating set.
+cyclic factors).  right_action and left_action fix one factor of a
+product, for the many products by one element that ball closure and the
+centraliser scan make.  Balls are built by breadth-first closure of the
+identity under an inverse-closed generating set.
 """
 
 from __future__ import annotations
@@ -47,9 +49,17 @@ class GroupSpec:
         raise NotImplementedError
 
     def right_action(self, s: Element) -> Callable[[Element], Element]:
-        """The map a ↦ a·s for the fixed element s."""
+        """The map a ↦ a·s for the fixed element s, by default through
+        multiply; CyclicSpec adds s, and PlainSpec joins s on through a
+        junction product, which touches only the syllables that meet."""
         multiply = self.multiply
         return lambda a: multiply(a, s)
+
+    def left_action(self, s: Element) -> Callable[[Element], Element]:
+        """The map a ↦ s·a for the fixed element s, by default through
+        multiply; PlainSpec's is a junction product, as for right_action."""
+        multiply = self.multiply
+        return lambda a: multiply(s, a)
 
     def inverse(self, a: Element) -> Element:
         raise NotImplementedError
@@ -388,12 +398,42 @@ class PlainSpec(GroupSpec):
                 out.append((factor, e))
         return tuple(out)
 
+    def _join(self, a, b):
+        """Reduced form of a·b for reduced a and b.
+
+        Only the syllables that meet at the junction change: pairs from
+        one factor cancel inwards while their exponents sum to 0, and the
+        first pair that does not cancel merges into one syllable.  Past
+        that, both sides are reduced already, so the result is two tuple
+        slices around at most one new syllable.
+        """
+        if not (a and b and a[-1][0] == b[0][0]):
+            return a + b
+        orders = self._orders
+        i, j = len(a) - 1, 0
+        while True:
+            factor = b[j][0]
+            e = a[i][1] + b[j][1]
+            o = orders[factor]
+            if o:
+                e %= o
+            if e:
+                return a[:i] + ((factor, e),) + b[j + 1 :]
+            i, j = i - 1, j + 1
+            if i < 0 or j == len(b) or a[i][0] != b[j][0]:
+                return a[: i + 1] + b[j:]
+
     def right_action(self, s):
-        """a ↦ a·s; a one-syllable s, as every generator of a plain group
-        file, gets a closure with its factor, exponent, order and syllable
-        bound in, which touches only the last syllable of a."""
+        """a ↦ a·s for reduced a.  A one-syllable s, as every generator of
+        a plain group file, gets a closure with its factor, exponent, order
+        and syllable bound in, which touches only the last syllable of a;
+        its exponent need not be reduced.  Any other s is reduced once and
+        joined on through _join, which touches only the syllables of a and
+        s that meet."""
         if len(s) != 1:
-            return super().right_action(s)
+            s = self.multiply((), s)
+            join = self._join
+            return lambda a: join(a, s)
         ((factor, e),) = s
         o = self._orders[factor]
         if o:
@@ -409,6 +449,13 @@ class PlainSpec(GroupSpec):
             return a + syllable
 
         return act
+
+    def left_action(self, s):
+        """a ↦ s·a for reduced a: s is reduced once, and _join touches only
+        the syllables of s and a that meet."""
+        s = self.multiply((), s)
+        join = self._join
+        return lambda a: join(s, a)
 
     def inverse(self, a):
         return tuple((f, self._canonical_exp(f, -e)) for f, e in reversed(a))

@@ -13,14 +13,20 @@ trusted region.  Words are read by walking CayleyBall.steps from vertex
 to vertex; every step starts at a vertex of norm < R, so no walk meets a
 -1.  The forbidden-factor and local-exclusion walks visit states (a vertex
 with its first letter or automaton state), not words.  Only power_language
-and centraliser_in_ball multiply elements.  Nothing here reads
-CayleyBall.graph, so the language commands build no graph and run no BFS.
+and centraliser_in_ball multiply elements: power_language once per power,
+centraliser_in_ball through the left and right actions of g
+(GroupSpec.left_action and right_action), which on a plain group are
+junction products that touch only the syllables of g and h that meet.
+Nothing here reads CayleyBall.graph, so the language commands build no
+graph and run no BFS.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .groups import CayleyBall, Element, word_to_element
@@ -435,10 +441,15 @@ def power_language(ball: CayleyBall, g_word: Word, n_max: int) -> PowerLanguageR
 
 
 def centraliser_in_ball(ball: CayleyBall, g: Element) -> list[Element]:
-    """Ball members commuting with g, in vertex order; g must be in the ball."""
+    """Ball members commuting with g, in vertex order; g must be in the ball.
+
+    Each member h is kept when g·h == h·g, both from actions of g made
+    once, with no Python loop over the members.
+    """
     ball.vertex_of(g)
-    spec = ball.spec
-    return [h for h in ball.elements if spec.multiply(g, h) == spec.multiply(h, g)]
+    elements = ball.elements
+    left, right = ball.spec.left_action(g), ball.spec.right_action(g)
+    return list(compress(elements, map(eq, map(left, elements), map(right, elements))))
 
 
 def forbidden_set_lines(forbidden: ForbiddenSet) -> list[str]:
@@ -448,9 +459,12 @@ def forbidden_set_lines(forbidden: ForbiddenSet) -> list[str]:
 
 
 def parse_forbidden_file(text: str) -> ForbiddenSet:
-    """Inverse of forbidden_set_lines; words use the apostrophe convention."""
+    """Inverse of forbidden_set_lines; words use the apostrophe convention.
+
+    The header's e must be at least 1, and no word may be longer than e.
+    """
     e = None
-    words = []
+    words = []  # (line number, word)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -464,11 +478,16 @@ def parse_forbidden_file(text: str) -> ForbiddenSet:
                 e = int(value)
             except ValueError:
                 raise ValueError(f"line {lineno}: expected 'forbidden e=<e>'") from None
+            if e < 1:
+                raise ValueError(f"line {lineno}: e must be at least 1")
         else:
-            words.append(parse_word(line))
+            words.append((lineno, parse_word(line)))
     if e is None:
         raise ValueError("missing 'forbidden e=<e>' header")
-    return ForbiddenSet(e, frozenset(words))
+    for lineno, w in words:
+        if len(w) > e:
+            raise ValueError(f"line {lineno}: word of length {len(w)} exceeds e={e}")
+    return ForbiddenSet(e, frozenset(w for _, w in words))
 
 
 def power_report_lines(report: PowerLanguageReport) -> list[str]:

@@ -10,10 +10,11 @@ BigonReport or TriangleReport per ladder, bigon or triangle, and expanded()
 turns a library scan's records into the same list.  The report-line oracles
 format each ladder, bigon or triangle report as one line of its own.  The language oracles are
 the earlier, longer forms of the stabilisation fit and the factor automaton,
-with every pruning step spelled out, the power languages read off the
-ball graph's geodesic enumeration, each path's labels found by multiplying
-in the group, and the forbidden-factor and local-exclusion walks over whole
-words rather than the vertices of their suffixes and parents.
+with every pruning step spelled out, the centraliser scan by multiply,
+the power languages read off the ball graph's geodesic enumeration, each
+path's labels found by multiplying in the group, and the forbidden-factor
+and local-exclusion walks over whole words rather than the vertices of
+their suffixes and parents.
 naive_forbidden_factors and naive_locally_excluding sit between those and
 the library's state walks: they carry every geodesic word through each
 layer, with its vertex and that of its suffix, or with its vertex,
@@ -483,6 +484,16 @@ def naive_power_languages(ball: CayleyBall, g_word, n_max: int) -> tuple:
         languages.append(tuple(words))
         e = spec.multiply(e, g)
     return tuple(languages)
+
+
+def naive_centraliser(ball: CayleyBall, g) -> list:
+    """Ball members h with g·h == h·g, in vertex order, by two multiply calls each.
+
+    The earlier centraliser_in_ball loop, before it multiplied through the
+    left and right actions of g.
+    """
+    spec = ball.spec
+    return [h for h in ball.elements if spec.multiply(g, h) == spec.multiply(h, g)]
 
 
 def naive_fit_tail(tail):

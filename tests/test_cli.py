@@ -541,6 +541,18 @@ def test_forbidden_file_rejects_a_second_header(capsys, tmp_path):
         2, "", "error: line 2: duplicate 'forbidden' header\n")
 
 
+def test_forbidden_file_checks_e_and_word_lengths(capsys, tmp_path):
+    fset = tmp_path / "fset.txt"
+    for text, message in (
+        ("forbidden e=-5\naa\n", "line 1: e must be at least 1"),
+        ("# set\nforbidden e=0\n", "line 2: e must be at least 1"),
+        ("forbidden e=1\naaa\n", "line 2: word of length 3 exceeds e=1"),
+        ("ab\nforbidden e=2\naA\n\nabab\n", "line 5: word of length 4 exceeds e=2"),
+    ):
+        fset.write_text(text)
+        assert run(capsys, ["automaton", str(fset)]) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["forbidden", "automaton"])
 def test_language_commands_build_the_ball_to_radius_e(capsys, tmp_path, monkeypatch, command):
     radii = []
@@ -841,3 +853,73 @@ def test_group_file_errors_name_their_line(capsys, tmp_path, text, lineno):
     code, out, err = run(capsys, ["ball", "--group", str(path)])
     assert code == 2 and out == ""
     assert err.startswith(f"error: line {lineno}: ")
+
+
+def parsed(capsys, parser, argv):
+    """(exit code, stdout, stderr) of parser.parse_args(argv)."""
+    try:
+        parser.parse_args(argv)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_one_subcommand_parser_prints_what_the_full_one_does(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in ([name, "-h"], [name, "--bogus"], [name, "--radius", "x"]):
+        full = parsed(capsys, cli.build_parser(), argv)
+        assert full[0] in (0, 2)
+        assert parsed(capsys, cli.build_parser(name), argv) == full
+
+
+SUBCOMMAND_HELP = [
+    ("ball", "build a Cayley ball and summarize it"),
+    ("check-k", "test k-geodeticity"),
+    ("min-k", "smallest k with at most k geodesics per pair"),
+    ("ladders", "search for ladder-like geodesic pairs"),
+    ("bigons", "enumerate geodesic bigons"),
+    ("triangles", "enumerate geodesic triangles"),
+    ("forbidden", "minimal non-geodesic factors of the ball language"),
+    ("automaton", "factor-excluding automaton as a transition table"),
+    ("powers", "geodesic languages of powers of a base word"),
+    ("centraliser", "ball elements commuting with a given one"),
+    ("word-tool", "standalone word utilities"),
+    ("export-dot", "write a graph or ball as DOT"),
+]
+
+
+def test_top_level_usage_and_errors(capsys, monkeypatch):
+    """Bare geodetic, geodetic -h and geodetic bogus build every subcommand.
+
+    The usage wraps differently from one Python version to the next, and
+    the invalid-choice message quotes the names on some and not on others,
+    so those parts are pinned by what they hold.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    names = [name for name, _ in SUBCOMMAND_HELP]
+    listed = "{" + ",".join(names) + "}"
+    code, out, err = run(capsys, [])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: geodetic [-h]") and listed in err
+    assert err.endswith("\ngeodetic: error: the following arguments are required: command\n")
+    usage = err[: err.index("geodetic: error:")]
+
+    code, out, err = run(capsys, ["bogus"])
+    assert (code, out) == (2, "")
+    assert err.startswith(usage)
+    assert err[len(usage):] in (
+        f"geodetic: error: argument command: invalid choice: 'bogus' (choose from {choices})\n"
+        for choices in (", ".join(map(repr, names)), ", ".join(names))
+    )
+
+    code, out, err = run(capsys, ["-h"])
+    assert (code, err) == (0, "")
+    assert out == usage + "".join([
+        "\nGeodesic counting, Cayley balls, ladder bounds, and geodesic languages.\n",
+        f"\npositional arguments:\n  {listed}\n",
+        *(f"    {name:<20}{help_text}\n" for name, help_text in SUBCOMMAND_HELP),
+        "\noptions:\n  -h, --help            show this help message and exit\n",
+    ])

@@ -348,6 +348,9 @@ def test_known_min_k_values():
 # A pendant 0 on a 4-cycle: the first violator in (u, v) order, (0, 3), is
 # farther apart than the first in (distance, u, v) order, (1, 3).
 @example(build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)], 5), None)
+# Source 0's row reaches its top count 2 at v = 1 (distance 3) and v = 4
+# (distance 2): the least (distance, v) is (2, 4), the least v is 1.
+@example(build_graph([(0, 2), (0, 3), (2, 4), (3, 4), (4, 1)], 5), None)
 def test_witness_and_violator_match_sorted_scan_oracle(g, modulus):
     pair_filter = None if modulus is None else (lambda u, v: (u + 2 * v) % modulus != 0)
     best = first_maximiser(sorted_pair_counts(g, pair_filter))

@@ -91,8 +91,9 @@ def test_group_axioms_on_samples(spec):
     for a in elems:
         for b in elems:
             # Z and Z_n have their own right actions, the table and product
-            # groups the default one; see also the plain-group oracle test.
+            # groups the default ones; see also the plain-group oracle tests.
             assert spec.right_action(b)(a) == spec.multiply(a, b)
+            assert spec.left_action(b)(a) == spec.multiply(b, a)
             for c in elems[:5]:
                 assert spec.multiply(spec.multiply(a, b), c) == spec.multiply(
                     a, spec.multiply(b, c)
@@ -594,6 +595,43 @@ def test_plain_multiply_matches_push_oracle(case):
         assert got == ()
     if len(b) == 1:
         assert spec.right_action(b)(a) == got
+
+
+@st.composite
+def plain_junctions(draw):
+    """(spec, a, s, raw): a and s reduced, raw one unreduced syllable.
+
+    s is drawn apart from a, is a's inverse, cancels the tail a[cut:] of a
+    from the right or its head a[:cut] from the left, or is one syllable
+    from the factor at an end of a, which merges with it."""
+    spec = draw(st.sampled_from(PLAIN_SPECS))
+    syllables = st.lists(
+        st.tuples(st.integers(0, spec.factor_count - 1), st.integers(-7, 7)), max_size=8
+    )
+    a = push_product(spec, (), draw(syllables))
+    tail = push_product(spec, (), draw(syllables))
+    cut = draw(st.integers(0, len(a)))
+    end = draw(st.sampled_from([a[0], a[-1]])) if a else (0, 1)
+    s = draw(st.sampled_from([
+        tail,
+        spec.inverse(a),
+        push_product(spec, spec.inverse(a[cut:]), tail),
+        push_product(spec, tail, spec.inverse(a[:cut])),
+        push_product(spec, (), ((end[0], draw(st.integers(-7, 7))),)),
+    ]))
+    factor = end[0] if draw(st.booleans()) else draw(st.integers(0, spec.factor_count - 1))
+    return spec, a, s, ((factor, draw(st.integers(-9, 9))),)
+
+
+@given(plain_junctions())
+@settings(max_examples=300, deadline=None)
+def test_plain_junction_actions_match_push_oracle(case):
+    spec, a, s, raw = case
+    assert spec.left_action(s)(a) == push_product(spec, s, a)
+    assert spec.right_action(s)(a) == push_product(spec, a, s)
+    assert spec.right_action(raw)(a) == push_product(spec, a, raw)
+    if s == spec.inverse(a):
+        assert spec.left_action(s)(a) == () == spec.right_action(s)(a)
 
 
 @given(st.data())

@@ -9,6 +9,7 @@ from geodetic import (
     FiniteOrderError,
     ForbiddenSet,
     ProductSpec,
+    TableSpec,
     build_factor_automaton,
     cayley_ball,
     centraliser_in_ball,
@@ -39,6 +40,7 @@ from geodetic.zoo import (
 
 from oracles import (
     has_factor_naive,
+    naive_centraliser,
     naive_check_locally_excluding,
     naive_factor_automaton,
     naive_fit_tail,
@@ -467,6 +469,46 @@ def test_centraliser_identity_is_whole_ball(z4_r4):
 def test_centraliser_abelian(zxz2_r7):
     members = centraliser_in_ball(zxz2_r7, (1, 0))
     assert len(members) == zxz2_r7.vertex_count
+
+
+def _unit_product(*orders):
+    spec = ProductSpec(tuple(CyclicSpec(n) for n in orders))
+    units = [tuple(int(j == i) for j in range(len(orders))) for i in range(len(orders))]
+    return spec, validate_genset(spec, [(f"x{i}{sign}", spec.inverse(u) if sign else u)
+                                        for i, u in enumerate(units) for sign in ("", "'")])
+
+
+def _z5_table():
+    spec = TableSpec([[(i + j) % 5 for j in range(5)] for i in range(5)])
+    return spec, validate_genset(spec, [("g", 1), ("g'", 4)])
+
+
+CENTRALISER_GROUPS = {
+    "F2": lambda: free_group(2),
+    "F3": lambda: free_group(3),
+    "Z2*Z3": lambda: plain_group(0, (2, 3)),
+    "Z*Z3": lambda: plain_group(1, (3,)),
+    "Z2*Z2*Z2": lambda: plain_group(0, (2, 2, 2)),
+    "Z4*Z4": lambda: plain_group(0, (4, 4)),
+    "ZxZ2": z_cross_z2,
+    "ZxZ": lambda: _unit_product(0, 0),
+    "C7": lambda: cyclic_with_step(7),
+    "K33": lambda: cyclic_odd_powers(3),  # Z6 with its odd residues
+    "Z5 table": _z5_table,
+}
+_CENTRALISER_BALLS = {}  # (group name, radius) -> ball, shared by the examples
+
+
+@pytest.mark.parametrize("name", CENTRALISER_GROUPS)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_centraliser_matches_multiply_oracle(name, data):
+    radius = data.draw(st.integers(0, 6))
+    if (name, radius) not in _CENTRALISER_BALLS:
+        _CENTRALISER_BALLS[name, radius] = cayley_ball(*CENTRALISER_GROUPS[name](), radius)
+    ball = _CENTRALISER_BALLS[name, radius]
+    g = ball.elements[data.draw(st.integers(0, ball.vertex_count - 1))]
+    assert centraliser_in_ball(ball, g) == naive_centraliser(ball, g)
 
 
 def test_centraliser_outside_ball(z_r8):
