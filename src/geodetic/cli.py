@@ -22,7 +22,7 @@ from .geometry import (
     find_ladders,
     ladder_bound_A,
 )
-from .graphs import graph_to_dot, min_geodetic_k, parse_graph
+from .graphs import _gc_paused, graph_to_dot, min_geodetic_k, parse_graph
 from .groups import (
     BallBudgetError,
     CayleyBall,
@@ -434,13 +434,17 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; only its parser is built when argv starts with its name."""
+    """Run one subcommand; only its parser is built when argv starts with its name.
+
+    The subcommand runs with the cyclic garbage collector paused (see
+    graphs._gc_paused); parsing runs before the pause.
+    """
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _gc_paused(args.func)(args)
     except (ValueError, OSError, BallBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

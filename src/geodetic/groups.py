@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .graphs import Graph
+from .graphs import Graph, _gc_paused
 from .words import Word
 
 Element = Union[int, tuple]
@@ -715,25 +715,28 @@ class CayleyBall:
         return True, None
 
 
+@_gc_paused
 def cayley_ball(
     spec: GroupSpec, genset: GenSet, radius: int, budget: Optional[int] = None
 ) -> CayleyBall:
-    """Breadth-first closure of the identity under the generating set.
+    """Breadth-first closure of the identity under the generating set, one sphere at a time.
 
     Each edge costs one right action, from spec.right_action of its
     generator: u·s = v also gives the step v·s⁻¹ = u, which waits in a
     per-generator dict until v's turn, and a step known that way is never
     computed.  Each product is hashed once: index.setdefault adds it below
-    the radius, and index.get only looks it up on the last sphere.  When
-    every generator has parity 1 (GroupSpec.parity), a step from the last
-    sphere stays in the ball only by going back to the sphere below, so it
-    already waits in known: at the first vertex of norm radius, each row is
-    filled from known for every remaining vertex and the pass stops, with
-    no right action for a step that leaves the ball.  The step rows grow
-    one entry per vertex in processing order.  budget caps the
-    number of vertices (default 10^6, or the GEODETIC_BALL_BUDGET environment
-    variable, which raises ValueError unless it is an integer of at least
-    1); exceeding it raises BallBudgetError before memory runs away.
+    the radius, and index.get only looks it up in the last sphere's own
+    pass.  When every generator has parity 1 (GroupSpec.parity), a step
+    from the last sphere stays in the ball only by going back to the sphere
+    below, so it already waits in known: that pass fills each row from
+    known alone, with no right action for a step that leaves the ball.  The
+    step rows grow one entry per vertex in processing order, and norms one
+    run per sphere.  budget caps the number of vertices (default 10^6, or
+    the GEODETIC_BALL_BUDGET environment variable, which raises ValueError
+    unless it is an integer of at least 1); exceeding it raises
+    BallBudgetError before memory runs away.  The build runs with the
+    cyclic garbage collector paused (graphs._gc_paused): its lists, dicts
+    and elements hold no cycles.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -756,33 +759,43 @@ def cayley_ball(
     known_of = dict(zip(genset.labels, known))
     moves = [(row.append, spec.right_action(s), here.pop, known_of[genset.inverse_label[label]])
              for (label, s), row, here in zip(genset.items(), steps, known)]
-    bipartite = all(map(spec.parity, genset.elements))
-    for u, gu in enumerate(elements):  # elements grows while it is read
-        layer = norms[u] + 1
-        if layer > radius and bipartite:
-            for row, here in zip(steps, known):
-                row.extend(map(here.get, range(u, len(elements)), repeat(-1)))
-            break
-        for append, act, pop, back in moves:
-            v = pop(u, None)
-            if v is None:
-                h = act(gu)
-                if layer > radius:
-                    v = index.get(h, -1)
-                else:
-                    n = len(elements)
-                    v = index.setdefault(h, n)
-                    if v == n:
-                        if n >= budget:
+    start, count = 0, 1  # elements[start:count] is the outermost sphere found so far
+    for layer in range(1, radius + 1):
+        end = count
+        for u, gu in enumerate(elements[start:end], start):
+            for append, act, pop, back in moves:
+                v = pop(u, None)
+                if v is None:
+                    h = act(gu)
+                    v = index.setdefault(h, count)
+                    if v == count:
+                        if count >= budget:
                             raise BallBudgetError(
                                 f"ball exceeds the {budget}-vertex budget at radius {layer}"
                             )
                         elements.append(h)
-                        norms.append(layer)
-                if v >= 0:
+                        count += 1
                     back[v] = u
-            append(v)
-    complete = max(norms) < radius or spec.order() == len(elements)
+                append(v)
+        start = end
+        if start == count:  # no new sphere: the ball is the whole group
+            break
+        norms.extend(repeat(layer, count - start))
+    # The last sphere, norm radius, when the closure reached it.
+    if all(map(spec.parity, genset.elements)):
+        for row, here in zip(steps, known):
+            row.extend(map(here.get, range(start, count), repeat(-1)))
+    else:
+        get = index.get
+        for u, gu in enumerate(elements[start:count], start):
+            for append, act, pop, back in moves:
+                v = pop(u, None)
+                if v is None:
+                    v = get(act(gu), -1)
+                    if v >= 0:
+                        back[v] = u
+                append(v)
+    complete = norms[-1] < radius or spec.order() == count
     return CayleyBall(spec, genset, radius, elements, index, norms, complete, steps)
 
 

@@ -370,14 +370,17 @@ def _detect_stabilization(languages: Sequence[tuple[Word, ...]]) -> Optional[Sta
 
 
 def _geodesic_words(ball: CayleyBall) -> Callable[[int], list[Word]]:
-    """A function from a vertex v to every geodesic word from 1 to v, memoised across calls.
+    """A function from a vertex v to its geodesic words from 1, sorted and memoised across calls.
 
     A geodesic word ending in s reaches v from u = v·s⁻¹ with norms[u] =
     norms[v] - 1, so the words of v are those of each such u extended by s;
     u is read off the row of s⁻¹ in steps.  The vertices still missing are
     gathered with an explicit stack and filled in increasing vertex order,
     which is BFS order, so each one's predecessors come first and no
-    recursion depth grows with norms[v].
+    recursion depth grows with norms[v].  Each list is sorted when it is
+    filled: the words of u all have the same length, so extending them by s
+    keeps their order, and list.sort only merges one sorted run per
+    generator.
     """
     norms = ball.norms
     rows = dict(zip(ball.genset.labels, ball.steps))
@@ -405,6 +408,7 @@ def _geodesic_words(ball: CayleyBall) -> Callable[[int], list[Word]]:
                 u = row[x]
                 if u >= 0 and norms[u] == down:
                     words.extend(w + (label,) for w in memo[u])
+            words.sort()
         return memo[v]
     return words_of
 
@@ -415,7 +419,8 @@ def power_language(ball: CayleyBall, g_word: Word, n_max: int) -> PowerLanguageR
     The base element must have infinite order (the specs carry exact order
     oracles) and every analyzed power must lie inside the ball.  The words
     of every power come from ball.norms and ball.steps alone, memoised per
-    vertex across the powers; no graph is built and no BFS runs.
+    vertex across the powers and already sorted; no graph is built and no
+    BFS runs.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -434,7 +439,7 @@ def power_language(ball: CayleyBall, g_word: Word, n_max: int) -> PowerLanguageR
             raise BallRangeError(
                 f"power {n} of the base element leaves the radius-{ball.radius} ball"
             )
-        languages.append(tuple(sorted(words_of(v))))
+        languages.append(tuple(words_of(v)))
         e = spec.multiply(e, g)
     stab = _detect_stabilization(languages)
     return PowerLanguageReport(tuple(g_word), tuple(languages), stab)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from pathlib import Path
@@ -805,6 +806,40 @@ def test_ball_budget_env(capsys, c6, monkeypatch):
     monkeypatch.setenv("GEODETIC_BALL_BUDGET", "3")
     code, _, err = run(capsys, ["ball", "--group", c6])
     assert code == 2 and "budget" in err
+
+
+def test_commands_run_with_the_collector_paused(capsys, c6, monkeypatch):
+    """A command runs with the collector off, and it is on again after an
+    exit 0, a budget error or a ValueError; a caller's disabled collector
+    stays disabled."""
+    seen = []
+    real_ball = cli.cayley_ball
+
+    def recording_ball(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real_ball(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "cayley_ball", recording_ball)
+    try:
+        gc.enable()
+        assert run(capsys, ["ball", "--group", c6])[0] == 0
+        assert seen == [False] and gc.isenabled()
+        monkeypatch.setenv("GEODETIC_BALL_BUDGET", "2")
+        assert run(capsys, ["ball", "--group", c6]) == (
+            2, "", "error: ball exceeds the 2-vertex budget at radius 1\n")
+        assert gc.isenabled()
+        monkeypatch.delenv("GEODETIC_BALL_BUDGET")
+        assert run(capsys, ["ball", "--group", c6, "--radius", "-1"]) == (
+            2, "", "error: radius must be nonnegative\n")
+        assert gc.isenabled()
+        gc.disable()
+        assert run(capsys, ["ball", "--group", c6])[0] == 0
+        assert not gc.isenabled()
+        assert run(capsys, ["ball", "--group", c6, "--radius", "-1"])[0] == 2
+        assert not gc.isenabled()
+        assert seen == [False] * 3  # a negative radius is refused before the ball
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("value", ["x", "", "2.5", "0", "-4"])

@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import subprocess
@@ -829,6 +830,16 @@ def test_iter_disjoint_pairs_reads_each_row_once_per_call(monkeypatch):
             assert list(iter_disjoint_pairs(make(), m))
             rows = requests[source_only:]
             assert rows and len(rows) == len(set(rows))
+
+
+def test_iter_disjoint_pairs_leaves_the_collector_on():
+    """Only calls that return pause the collector; a generator never does,
+    so the consumer of iter_disjoint_pairs runs with the collector on."""
+    gc.enable()
+    ball = cayley_ball(*zoo.z_cross_z2(), 3)
+    assert gc.isenabled()
+    states = [gc.isenabled() for _ in iter_disjoint_pairs(ball, 1)]
+    assert states and all(states) and gc.isenabled()
 
 
 def test_iter_disjoint_pairs_shares_pair_stats_across_the_call():

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -414,6 +415,14 @@ BALL_CASES = [
     # vertex raises.
     (product_group(0, 0), 3, 25),
     (product_group(0, 0), 3, 24),
+    # The budget runs out in an inner sphere or in the last one, with the
+    # last sphere filled from known steps (F2: 17, 53 and 161 vertices at
+    # radii 2 to 4, so 20 fails at radius 3 and 100 at radius 4) or looked
+    # up (Z2*Z3: 34, 50, 106 and 154 at radii 5, 6, 8 and 9, so 40 fails at
+    # radius 6 and 120 at radius 9).
+    (free_group(2), 4, 20),
+    (plain_group(0, (2, 3)), 9, 40),
+    (plain_group(0, (2, 3)), 9, 120),
 ]
 
 
@@ -473,6 +482,36 @@ def test_cayley_ball_matches_two_pass_oracle(group, radius, budget):
     assert ball.edge_count == ball.graph.edge_count
     for (u, v), label in edge_labels.items():
         assert word_of_path(ball, (u, v)) == (label,)
+
+
+def test_cayley_ball_pauses_the_collector():
+    """The closure runs with the collector off; after a return or a budget
+    error it is on again, unless the caller had turned it off."""
+    spec, gens = free_group(2)
+    seen = []
+    right_action = spec.right_action
+
+    def recording(s):
+        act = right_action(s)
+        return lambda a: seen.append(gc.isenabled()) or act(a)
+
+    spec.right_action = recording
+    try:
+        gc.enable()
+        assert cayley_ball(spec, gens, 3).vertex_count == 53
+        assert seen and not any(seen) and gc.isenabled()
+        with pytest.raises(BallBudgetError):
+            cayley_ball(spec, gens, 4, budget=100)
+        assert gc.isenabled()
+        gc.disable()
+        assert cayley_ball(spec, gens, 2).vertex_count == 17
+        assert not gc.isenabled()
+        with pytest.raises(BallBudgetError):
+            cayley_ball(spec, gens, 4, budget=100)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+        del spec.right_action
 
 
 def test_word_of_path_and_word_to_element():

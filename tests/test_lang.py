@@ -22,6 +22,7 @@ from geodetic import (
 from geodetic.graphs import Graph
 from geodetic.lang import (
     _fit_tail,
+    _geodesic_words,
     forbidden_set_lines,
     parse_forbidden_file,
     power_report_lines,
@@ -359,7 +360,7 @@ def test_power_language_reads_only_the_identity_bfs(group, base, monkeypatch):
     assert ball._graph is None
 
 
-# (name, group, radius) for the power-language property test.
+# (name, group, largest radius) for the power-language property test.
 POWER_GROUPS = [
     ("F2", lambda: free_group(2), 6),
     ("Z2*Z2", z2_star_z2, 10),
@@ -373,8 +374,14 @@ POWER_GROUPS = [
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_power_language_matches_the_enumeration_oracle(data):
-    _, group, radius = data.draw(st.sampled_from(POWER_GROUPS), label="group")
+    _, group, max_radius = data.draw(st.sampled_from(POWER_GROUPS), label="group")
+    radius = data.draw(st.integers(0, max_radius), label="radius")
     ball = cayley_ball(*group(), radius)
+    # power_language reads each list as it is: sorted when filled.
+    words_of = _geodesic_words(ball)
+    for v in range(ball.vertex_count):
+        words = words_of(v)
+        assert words == sorted(words)
     labels = sorted(ball.genset.labels)
     base = tuple(data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3), label="base"))
     g = word_to_element(ball.spec, ball.genset, base)
