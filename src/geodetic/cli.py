@@ -10,6 +10,7 @@ input errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from collections import Counter
 from typing import Iterator
@@ -22,7 +23,7 @@ from .geometry import (
     find_ladders,
     ladder_bound_A,
 )
-from .graphs import _gc_paused, graph_to_dot, min_geodetic_k, parse_graph
+from .graphs import graph_to_dot, min_geodetic_k, parse_graph
 from .groups import (
     BallBudgetError,
     CayleyBall,
@@ -436,18 +437,26 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; only its parser is built when argv starts with its name.
 
-    The subcommand runs with the cyclic garbage collector paused (see
-    graphs._gc_paused); parsing runs before the pause.
+    The subcommand runs after parsing with the cyclic garbage collector paused
+    (its data hold no cycles); the collector is re-enabled unless it was off.
     """
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return _gc_paused(args.func)(args)
+        return args.func(args)
     except (ValueError, OSError, BallBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -7,8 +7,6 @@ asks for it and dropped with it.
 
 from __future__ import annotations
 
-import functools
-import gc
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -21,29 +19,6 @@ class UnreachablePairError(ValueError):
 
 class GraphFormatError(ValueError):
     """Malformed graph description, textual or structural."""
-
-
-def _gc_paused(func):
-    """Wrap func to run with Python's cyclic garbage collector paused.
-
-    The bulk data of a command or a ball build (int lists, tuples of ints,
-    dicts from elements to ints) can never form a cycle, so reference
-    counting frees it all and the collector's passes over it are pure cost.
-    The collector is enabled again in ``finally``, on a return or a raise.
-    When it is already off (the caller disabled it, or an outer paused call
-    runs) the call runs as it is and leaves it off.  Never wrap a generator
-    function: a pause must not span a ``yield``.
-    """
-    @functools.wraps(func)
-    def paused(*args, **kwargs):
-        if not gc.isenabled():
-            return func(*args, **kwargs)
-        gc.disable()
-        try:
-            return func(*args, **kwargs)
-        finally:
-            gc.enable()
-    return paused
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .graphs import Graph, _gc_paused
+from .graphs import Graph
 from .words import Word
 
 Element = Union[int, tuple]
@@ -715,7 +715,6 @@ class CayleyBall:
         return True, None
 
 
-@_gc_paused
 def cayley_ball(
     spec: GroupSpec, genset: GenSet, radius: int, budget: Optional[int] = None
 ) -> CayleyBall:
@@ -734,9 +733,8 @@ def cayley_ball(
     run per sphere.  budget caps the number of vertices (default 10^6, or
     the GEODETIC_BALL_BUDGET environment variable, which raises ValueError
     unless it is an integer of at least 1); exceeding it raises
-    BallBudgetError before memory runs away.  The build runs with the
-    cyclic garbage collector paused (graphs._gc_paused): its lists, dicts
-    and elements hold no cycles.
+    BallBudgetError before memory runs away.  The cyclic garbage collector
+    is left as the caller set it; only cli.main pauses it, for a command.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")

@@ -810,8 +810,8 @@ def test_ball_budget_env(capsys, c6, monkeypatch):
 
 def test_commands_run_with_the_collector_paused(capsys, c6, monkeypatch):
     """A command runs with the collector off, and it is on again after an
-    exit 0, a budget error or a ValueError; a caller's disabled collector
-    stays disabled."""
+    exit 0, a budget error, a ValueError or an exception main does not
+    catch; a caller's disabled collector stays disabled."""
     seen = []
     real_ball = cli.cayley_ball
 
@@ -838,6 +838,34 @@ def test_commands_run_with_the_collector_paused(capsys, c6, monkeypatch):
         assert run(capsys, ["ball", "--group", c6, "--radius", "-1"])[0] == 2
         assert not gc.isenabled()
         assert seen == [False] * 3  # a negative radius is refused before the ball
+        gc.enable()
+
+        def failing_ball(*args, **kwargs):
+            raise RuntimeError("not caught by main")
+
+        monkeypatch.setattr(cli, "cayley_ball", failing_ball)
+        with pytest.raises(RuntimeError, match="not caught by main"):
+            cli.main(["ball", "--group", c6])
+        assert gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_out_of_memory_exits_2(capsys, tmp_path, monkeypatch):
+    """A MemoryError in a command is an exit 2 with one line on stderr, and
+    the collector is on again afterwards."""
+    path = tmp_path / "z2z2.grp"
+    path.write_text(Z2Z2_GROUP)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "power_language", exhausted)
+    try:
+        gc.enable()
+        assert run(capsys, ["powers", "ab", "--group", str(path), "--nmax", "3"]) == (
+            2, "", "error: out of memory\n")
+        assert gc.isenabled()
     finally:
         gc.enable()
 

@@ -833,8 +833,8 @@ def test_iter_disjoint_pairs_reads_each_row_once_per_call(monkeypatch):
 
 
 def test_iter_disjoint_pairs_leaves_the_collector_on():
-    """Only calls that return pause the collector; a generator never does,
-    so the consumer of iter_disjoint_pairs runs with the collector on."""
+    """No library call pauses the collector, so a ball build and the
+    consumer of iter_disjoint_pairs both run with it on as the caller left it."""
     gc.enable()
     ball = cayley_ball(*zoo.z_cross_z2(), 3)
     assert gc.isenabled()

@@ -1,5 +1,3 @@
-import gc
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -115,40 +113,6 @@ def test_graph_keeps_no_state():
     assert expanded(enumerate_bigons(g)).found
     assert expanded(enumerate_triangles(g)).found
     assert vars(g).keys() == {"vertex_count", "adj"}
-
-
-def test_gc_paused_restores_the_collector_state():
-    """The collector is off inside the call and back on after a return or a
-    raise; a collector the caller turned off, or an outer call paused, stays
-    off until that caller turns it on."""
-    seen = []
-
-    @graphs._gc_paused
-    def call(fail=False, inner=None):
-        seen.append(gc.isenabled())
-        if inner is not None:
-            inner()
-            seen.append(gc.isenabled())
-        if fail:
-            raise ValueError("fail")
-        return "done"
-
-    try:
-        gc.enable()
-        assert call() == "done" and seen == [False] and gc.isenabled()
-        with pytest.raises(ValueError, match="fail"):
-            call(fail=True)
-        assert gc.isenabled()
-        seen.clear()
-        assert call(inner=call) == "done"
-        assert seen == [False, False, False] and gc.isenabled()
-        gc.disable()
-        assert call() == "done" and not gc.isenabled()
-        with pytest.raises(ValueError):
-            call(fail=True)
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
 
 
 def test_all_pairs_counts_cache_no_dag():

@@ -484,9 +484,10 @@ def test_cayley_ball_matches_two_pass_oracle(group, radius, budget):
         assert word_of_path(ball, (u, v)) == (label,)
 
 
-def test_cayley_ball_pauses_the_collector():
-    """The closure runs with the collector off; after a return or a budget
-    error it is on again, unless the caller had turned it off."""
+def test_cayley_ball_runs_under_the_callers_collector_setting():
+    """The library closure never touches the collector: its right actions run
+    with it on or off as the caller set it, and a return or a budget error
+    leaves it that way."""
     spec, gens = free_group(2)
     seen = []
     right_action = spec.right_action
@@ -497,18 +498,15 @@ def test_cayley_ball_pauses_the_collector():
 
     spec.right_action = recording
     try:
-        gc.enable()
-        assert cayley_ball(spec, gens, 3).vertex_count == 53
-        assert seen and not any(seen) and gc.isenabled()
-        with pytest.raises(BallBudgetError):
-            cayley_ball(spec, gens, 4, budget=100)
-        assert gc.isenabled()
-        gc.disable()
-        assert cayley_ball(spec, gens, 2).vertex_count == 17
-        assert not gc.isenabled()
-        with pytest.raises(BallBudgetError):
-            cayley_ball(spec, gens, 4, budget=100)
-        assert not gc.isenabled()
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            seen.clear()
+            assert cayley_ball(spec, gens, 3).vertex_count == 53
+            assert seen and set(seen) == {enabled} and gc.isenabled() == enabled
+            seen.clear()
+            with pytest.raises(BallBudgetError):
+                cayley_ball(spec, gens, 4, budget=100)
+            assert seen and set(seen) == {enabled} and gc.isenabled() == enabled
     finally:
         gc.enable()
         del spec.right_action
