@@ -7,11 +7,8 @@ from .graphs import (
     PathSeq,
     UnreachablePairError,
     build_graph,
-    count_geodesics,
     enumerate_geodesics,
-    format_graph,
     graph_to_dot,
-    is_complete_bipartite,
     is_k_geodetic,
     min_geodetic_k,
     parse_graph,
@@ -52,13 +49,10 @@ from .geometry import (
     close_bound_C,
     enumerate_bigons,
     enumerate_triangles,
-    fellow_travel_bound,
     find_ladders,
     iter_disjoint_pairs,
     ladder_bound_A,
-    pad,
     pair_stats,
-    shorten_paths,
     validate_path,
 )
 from .lang import (
@@ -71,7 +65,6 @@ from .lang import (
     build_factor_automaton,
     centraliser_in_ball,
     check_locally_excluding,
-    is_geodesic_word,
     minimal_forbidden_factors,
     power_language,
 )

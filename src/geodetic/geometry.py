@@ -1,4 +1,4 @@
-"""Path-pair geometry: fellow travel, ladder-like structures, shortening.
+"""Path-pair geometry: fellow travel and ladder-like structures.
 
 Pair statistics follow the equal-length convention: two paths are compared
 index by index, d_i = d(p1(i), p2(i)).  For width m, a_m counts indices
@@ -15,16 +15,15 @@ one bit per geodesic for each (vertex, index), gives a row's disjoint
 partners and, with a BFS of depth m per vertex, their a_m in a few bit
 operations per index, so find_ladders reads no distance row; it keeps one
 record per row with a ladder.  pair_stats reads the distance rows of its
-first walk's vertices, each row at most once per call, and
-fellow_travel_bound does the same.  iter_disjoint_pairs reads the same
-rows' distances in one gather per index, and builds one PairStats per
-distinct distance tuple of the call, with no Python loop per pair.  The
-bigon and triangle scans classify their enumerated geodesics without
-validating them again.  The triangle scan enumerates each ordered side once
-per scan, off the distance row of its smaller end and the interval between
-the ends, so it runs one BFS per corner x or y of its triples.  Both scans
-keep one record per vertex pair or corner triple: its geodesics and a tuple
-of degenerate flags, one per bigon or triangle.
+first walk's vertices, each row at most once per call.  iter_disjoint_pairs
+reads the same rows' distances in one gather per index, and builds one
+PairStats per distinct distance tuple of the call, with no Python loop per
+pair.  The bigon and triangle scans classify their enumerated geodesics
+without validating them again.  The triangle scan enumerates each ordered
+side once per scan, off the distance row of its smaller end and the
+interval between the ends, so it runs one BFS per corner x or y of its
+triples.  Both scans keep one record per vertex pair or corner triple: its
+geodesics and a tuple of degenerate flags, one per bigon or triangle.
 """
 
 from __future__ import annotations
@@ -35,14 +34,13 @@ from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import chain, combinations, combinations_with_replacement, islice, repeat
 from operator import eq, or_
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 from .graphs import (
     Graph,
     PathSeq,
     UNREACHED,
     UnreachablePairError,
-    enumerate_geodesics,
     geodesic_walks,
 )
 from .groups import CayleyBall
@@ -55,24 +53,6 @@ def validate_path(g: Graph, p: PathSeq) -> None:
     for u, v in zip(p.vertices, p.vertices[1:]):
         if v not in g.adj[u]:
             raise ValueError(f"{u} and {v} are not adjacent")
-
-
-def pad(p: PathSeq, n: int) -> PathSeq:
-    """Extend p to length n by repeating its endpoint."""
-    if n < p.length:
-        raise ValueError(f"cannot pad a length-{p.length} path down to {n}")
-    return PathSeq(p.vertices + (p.end,) * (n - p.length))
-
-
-def fellow_travel_bound(g: Graph, p1: PathSeq, p2: PathSeq) -> int:
-    """Largest index-wise distance after padding the shorter path.
-
-    This is the least m for which the two paths m-fellow-travel.
-    """
-    validate_path(g, p1)
-    validate_path(g, p2)
-    n = max(p1.length, p2.length)
-    return max(_distances(_Rows(g), pad(p1, n).vertices, pad(p2, n).vertices))
 
 
 class PairStats(NamedTuple):
@@ -459,49 +439,6 @@ def find_ladders(
             heights = tuple(((stack >> j) & ones).bit_count() for j in js)
             cov.found.append(LadderRecord(geos[i], partners, heights, m, bound))
     return cov
-
-
-def shorten_paths(g: Graph, paths: Sequence[PathSeq], k: int) -> PathSeq:
-    """Given k+1 distinct equal-length walks u -> v, build one of length n-1 or n-2.
-
-    In a k-geodetic graph k+1 distinct equal-length walks cannot all be
-    geodesics.  Take the first non-geodesic walk a, let i0 be the least i
-    whose prefix a[0..i] is not geodesic, take the lexicographically first
-    geodesic b0 from u to a(i0) (its length j is i0-1 or i0-2), and splice:
-    the result follows b0 and then the tail a(i0+1), ..., a(n).
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if len(paths) < k + 1:
-        raise ValueError(f"need at least {k + 1} walks, got {len(paths)}")
-    first = paths[0]
-    u, v, n = first.start, first.end, first.length
-    seen = set()
-    for p in paths:
-        validate_path(g, p)
-        if p.start != u or p.end != v:
-            raise ValueError("walks must share both endpoints")
-        if p.length != n:
-            raise ValueError("walks must share their length")
-        if p.vertices in seen:
-            raise ValueError("walks must be pairwise distinct")
-        seen.add(p.vertices)
-    dist_u = g.dag(u).dist
-    alpha = None
-    for p in paths:
-        if any(dist_u[p[i]] != i for i in range(n + 1)):
-            alpha = p
-            break
-    if alpha is None:
-        raise ValueError("all inputs are geodesic; nothing to shorten")
-    i0 = next(i for i in range(n + 1) if dist_u[alpha[i]] != i)
-    beta0 = enumerate_geodesics(g, u, alpha[i0], limit=1)[0][0]
-    j = beta0.length
-    # A geodesic prefix one step earlier forces j to be i0-1 or i0-2.
-    assert j in (i0 - 1, i0 - 2)
-    result = PathSeq(beta0.vertices + alpha.vertices[i0 + 1 :])
-    assert result.length in (n - 1, n - 2)
-    return result
 
 
 class BigonRecord(NamedTuple):

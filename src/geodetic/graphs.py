@@ -39,14 +39,6 @@ class PathSeq:
     def length(self) -> int:
         return len(self.vertices) - 1
 
-    @property
-    def start(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> int:
-        return self.vertices[-1]
-
     def __getitem__(self, i: int) -> int:
         return self.vertices[i]
 
@@ -94,9 +86,6 @@ class Graph:
                     raise GraphFormatError(f"edge {u}-{v} is not symmetric")
         self.vertex_count = vertex_count
         self.adj: tuple[tuple[int, ...], ...] = tuple(adj)
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adj[u]
 
     @property
     def edge_count(self) -> int:
@@ -168,16 +157,6 @@ def bfs_dag(g: Graph, source: int, count_cap: Optional[int] = None) -> GeodesicD
                 counts[v] = min(counts[v], count_cap)
         layer = nxt
     return GeodesicDag(dist, counts)
-
-
-def count_geodesics(g: Graph, u: int, v: int) -> int:
-    """Number of geodesics u -> v; 1 when u = v (the empty path)."""
-    g.check_vertex(u)
-    g.check_vertex(v)
-    dag = g.dag(u)
-    if dag.dist[v] == UNREACHED:
-        raise UnreachablePairError(f"vertices {u} and {v} are in different components")
-    return dag.counts[v]
 
 
 def enumerate_geodesics(
@@ -371,23 +350,6 @@ def is_k_geodetic(
     return False, (violator[1], violator[2])
 
 
-def is_complete_bipartite(g: Graph) -> Optional[tuple[int, int]]:
-    """Part sizes (small, large) when g is a complete bipartite graph K_{k,l},
-    whose parts are the parities of the distances from vertex 0."""
-    if g.vertex_count == 0:
-        return None
-    dist = g.dag(0).dist
-    if UNREACHED in dist:
-        raise UnreachablePairError("graph is not connected")
-    color = [d % 2 for d in dist]
-    if any(color[u] == color[v] for u, v in g.edges()):
-        return None
-    part = [color.count(0), color.count(1)]
-    if any(len(nbrs) != part[1 - c] for nbrs, c in zip(g.adj, color)):
-        return None
-    return (min(part), max(part))
-
-
 def parse_graph(text: str) -> Graph:
     """Parse the line-oriented graph format.
 
@@ -425,12 +387,6 @@ def parse_graph(text: str) -> Graph:
     if vertex_count is None:
         raise GraphFormatError("missing 'graph <vertex_count>' header")
     return build_graph(edges, vertex_count)
-
-
-def format_graph(g: Graph) -> str:
-    lines = [f"graph {g.vertex_count}"]
-    lines.extend(f"e {u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
 
 
 def _dot_quote(s: str) -> str:

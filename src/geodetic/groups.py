@@ -555,12 +555,6 @@ class GenSet:
     def items(self):
         return zip(self.labels, self.elements)
 
-    def element(self, label: str) -> Element:
-        try:
-            return self.elements[self.labels.index(label)]
-        except ValueError:
-            raise GenSetError(f"unknown generator label {label!r}")
-
 
 def validate_genset(spec: GroupSpec, pairs: Sequence[tuple[str, Element]]) -> GenSet:
     """Check labels unique, elements distinct and non-identity, set inverse-closed."""
@@ -895,6 +889,8 @@ def parse_group_file(text: str) -> GroupFile:
                     raise GroupSpecError("expected 'gen <label> <expression>'")
                 gen_pairs.append((parts[1], spec.parse_element(line.split(None, 2)[2])))
             elif parts[0] == "ball":
+                if default_radius is not None:
+                    raise GroupSpecError("duplicate ball line")
                 if len(parts) != 2 or not parts[1].startswith("R="):
                     raise GroupSpecError("expected 'ball R=<r>'")
                 default_radius = int(parts[1][2:])

@@ -56,26 +56,6 @@ class ForbiddenSet:
         return sorted(self.words, key=lambda w: (len(w), w))
 
 
-def is_geodesic_word(ball: CayleyBall, w: Word) -> bool:
-    """Whether |w| equals the norm of the element w spells out.
-
-    Only decided for |w| <= ball.radius; longer words are a hard error
-    rather than a guess.
-    """
-    if len(w) > ball.radius:
-        raise BallRangeError(
-            f"word of length {len(w)} exceeds the ball radius {ball.radius}"
-        )
-    rows = dict(zip(ball.genset.labels, ball.steps))
-    v = 0
-    for letter in w:
-        row = rows.get(letter)
-        if row is None:
-            raise ValueError(f"letter {letter!r} is not a generator label")
-        v = row[v]
-    return ball.norms[v] == len(w)
-
-
 def check_factor_length(e: int, radius: int) -> None:
     """Reject a factor-length bound e that the radius-R ball cannot decide."""
     if e < 1:
@@ -178,20 +158,6 @@ class FactorAutomaton:
         # When λ itself is forbidden the root is terminal and nothing is live.
         self.start = remap.get(0, self.dead)
 
-    def step(self, state: int, letter: str) -> int:
-        row = self.transitions[state]
-        if letter not in row:
-            raise ValueError(f"letter {letter!r} is outside the automaton alphabet")
-        return row[letter]
-
-    def accepts(self, w: Word) -> bool:
-        state = self.start
-        for letter in w:
-            state = self.step(state, letter)
-            if state == self.dead:
-                return False
-        return state != self.dead
-
     def table_lines(self) -> list[str]:
         lines = [f"automaton states={self.state_count} start={self.start} dead={self.dead}"]
         for q, row in enumerate(self.transitions):
@@ -287,12 +253,6 @@ class Stabilization:
     s: Word
     q: int
     gamma_set: tuple[Word, ...]
-
-    def words_at(self, c: int) -> frozenset[Word]:
-        if c < 0:
-            raise ValueError("c must be nonnegative")
-        mid = (self.t + self.s) * (self.q + c) + self.t
-        return frozenset(a + mid + g for a in self.alpha_set for g in self.gamma_set)
 
 
 @dataclass(frozen=True)
@@ -486,7 +446,10 @@ def parse_forbidden_file(text: str) -> ForbiddenSet:
             if e < 1:
                 raise ValueError(f"line {lineno}: e must be at least 1")
         else:
-            words.append((lineno, parse_word(line)))
+            try:
+                words.append((lineno, parse_word(line)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     if e is None:
         raise ValueError("missing 'forbidden e=<e>' header")
     for lineno, w in words:

@@ -25,7 +25,9 @@ def parse_word(text: str, letters: Optional[Iterable[str]] = None) -> Word:
 
     With letters the text is matched greedily, longest letter first (at most
     one letter of a length matches at a position).  Without them, each
-    character is a letter and a trailing apostrophe marks its formal inverse.
+    character but whitespace is a letter and a trailing apostrophe marks its
+    formal inverse.  Whitespace around the word is dropped; inside it, it
+    raises ValueError.
     """
     text = text.strip()
     if text in ("", LAMBDA):
@@ -35,6 +37,8 @@ def parse_word(text: str, letters: Optional[Iterable[str]] = None) -> Word:
         i = 0
         while i < len(text):
             ch = text[i]
+            if ch.isspace():
+                raise ValueError(f"whitespace at position {i} in {text!r}")
             if ch == "'":
                 raise ValueError(f"dangling apostrophe at position {i} in {text!r}")
             if i + 1 < len(text) and text[i + 1] == "'":

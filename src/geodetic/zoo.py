@@ -24,15 +24,6 @@ def cycle_graph(n: int) -> Graph:
     return build_graph([(i, (i + 1) % n) for i in range(n)], n)
 
 
-def grid_graph(rows: int, cols: int) -> Graph:
-    """The rows x cols grid; vertex r*cols + c sits in row r, column c."""
-    if rows < 1 or cols < 1:
-        raise ValueError("grid needs at least one row and one column")
-    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
-    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
-    return build_graph(edges, rows * cols)
-
-
 def complete_bipartite(k: int, l: int) -> Graph:
     """K_{k,l}: parts {0..k-1} and {k..k+l-1}."""
     if k < 1 or l < 1:
@@ -90,24 +81,9 @@ def z2_star_z2() -> tuple[PlainSpec, GenSet]:
     return spec, _plain_genset(spec)
 
 
-def plain_group(free_rank: int, factor_orders: tuple[int, ...] = ()) -> tuple[PlainSpec, GenSet]:
-    spec = PlainSpec(free_rank=free_rank, factor_orders=factor_orders)
-    return spec, _plain_genset(spec)
-
-
 def infinite_cyclic() -> tuple[CyclicSpec, GenSet]:
     spec = CyclicSpec(0)
     return spec, validate_genset(spec, [("a", 1), ("a'", -1)])
-
-
-def cyclic_with_step(n: int, step: int = 1) -> tuple[CyclicSpec, GenSet]:
-    spec = CyclicSpec(n)
-    inv = spec.inverse(step)
-    if inv == step:
-        pairs = [("a", step)]
-    else:
-        pairs = [("a", step), ("a'", inv)]
-    return spec, validate_genset(spec, pairs)
 
 
 def cyclic_odd_powers(k: int) -> tuple[CyclicSpec, GenSet]:

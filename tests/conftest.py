@@ -3,6 +3,8 @@ import pytest
 from geodetic import cayley_ball
 from geodetic import zoo
 
+from fixtures import cyclic_with_step
+
 
 @pytest.fixture(scope="session")
 def free2_r4():
@@ -42,5 +44,5 @@ def zxz2_r7():
 
 @pytest.fixture(scope="session")
 def z4_r4():
-    spec, gens = zoo.cyclic_with_step(4)
+    spec, gens = cyclic_with_step(4)
     return cayley_ball(spec, gens, 4)

@@ -19,6 +19,12 @@ naive_forbidden_factors and naive_locally_excluding sit between those and
 the library's state walks: they carry every geodesic word through each
 layer, with its vertex and that of its suffix, or with its vertex,
 automaton state and path.
+The last section holds what no command runs, read only by the tests: the
+shortening step of the paper's k-geodetic argument (k+1 equal-length walks
+yield a shorter one), fellow travel after padding, single-pair geodesic
+counts, the complete-bipartite test, word geodesicity, the pumped languages
+of a Stabilization, the factor automaton's transition function and
+generator lookup by label.
 """
 
 from __future__ import annotations
@@ -26,21 +32,32 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import replace
 from itertools import combinations, product
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from geodetic.geometry import (
     BigonRecord,
     Coverage,
     LadderRecord,
     PairStats,
+    _distances,
+    _Rows,
     ladder_bound_A,
     validate_path,
 )
-from geodetic.graphs import Graph, PathSeq, build_graph, enumerate_geodesics
-from geodetic.groups import BallBudgetError, CayleyBall, word_to_element
+from geodetic.graphs import (
+    UNREACHED,
+    Graph,
+    PathSeq,
+    UnreachablePairError,
+    build_graph,
+    enumerate_geodesics,
+)
+from geodetic.groups import BallBudgetError, CayleyBall, GenSet, GenSetError, word_to_element
 from geodetic.lang import (
     BallRangeError,
+    FactorAutomaton,
     ForbiddenSet,
+    Stabilization,
     _path_word,
     build_factor_automaton,
     check_factor_length,
@@ -58,7 +75,7 @@ def dfs_walks_of_length(g: Graph, u: int, v: int, n: int) -> list[tuple[int, ...
             if x == v:
                 out.append(tuple(acc))
             return
-        for y in g.neighbors(x):
+        for y in g.adj[x]:
             acc.append(y)
             go(y, left - 1)
             acc.pop()
@@ -264,7 +281,7 @@ def bfs_distances(g: Graph, u: int) -> list[Optional[int]]:
     queue = deque([u])
     while queue:
         x = queue.popleft()
-        for y in g.neighbors(x):
+        for y in g.adj[x]:
             if dist[y] is None:
                 dist[y] = dist[x] + 1
                 queue.append(y)
@@ -681,7 +698,7 @@ def naive_check_locally_excluding(ball: CayleyBall, forbidden, test_len: int):
         for letter, row in moves:
             x = w + (letter,)
             v = row[u]
-            st = automaton.step(state, letter)
+            st = step(automaton, state, letter)
             geodesic = ball.norms[v] == len(x)
             excluded = st == automaton.dead
             if geodesic == excluded:
@@ -751,3 +768,143 @@ def naive_locally_excluding(ball: CayleyBall, forbidden, test_len: int):
                     new_layer.append((v, st, (path, letter)))
         layer = new_layer
     return True, None
+
+
+def pad(p: PathSeq, n: int) -> PathSeq:
+    """Extend p to length n by repeating its endpoint."""
+    if n < p.length:
+        raise ValueError(f"cannot pad a length-{p.length} path down to {n}")
+    return PathSeq(p.vertices + (p[-1],) * (n - p.length))
+
+
+def fellow_travel_bound(g: Graph, p1: PathSeq, p2: PathSeq) -> int:
+    """Largest index-wise distance after padding the shorter path.
+
+    This is the least m for which the two paths m-fellow-travel.
+    """
+    validate_path(g, p1)
+    validate_path(g, p2)
+    n = max(p1.length, p2.length)
+    return max(_distances(_Rows(g), pad(p1, n).vertices, pad(p2, n).vertices))
+
+
+def shorten_paths(g: Graph, paths: Sequence[PathSeq], k: int) -> PathSeq:
+    """Given k+1 distinct equal-length walks u -> v, build one of length n-1 or n-2.
+
+    In a k-geodetic graph k+1 distinct equal-length walks cannot all be
+    geodesics.  Take the first non-geodesic walk a, let i0 be the least i
+    whose prefix a[0..i] is not geodesic, take the lexicographically first
+    geodesic b0 from u to a(i0) (its length j is i0-1 or i0-2), and splice:
+    the result follows b0 and then the tail a(i0+1), ..., a(n).
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if len(paths) < k + 1:
+        raise ValueError(f"need at least {k + 1} walks, got {len(paths)}")
+    first = paths[0]
+    u, v, n = first[0], first[-1], first.length
+    seen = set()
+    for p in paths:
+        validate_path(g, p)
+        if p[0] != u or p[-1] != v:
+            raise ValueError("walks must share both endpoints")
+        if p.length != n:
+            raise ValueError("walks must share their length")
+        if p.vertices in seen:
+            raise ValueError("walks must be pairwise distinct")
+        seen.add(p.vertices)
+    dist_u = g.dag(u).dist
+    alpha = None
+    for p in paths:
+        if any(dist_u[p[i]] != i for i in range(n + 1)):
+            alpha = p
+            break
+    if alpha is None:
+        raise ValueError("all inputs are geodesic; nothing to shorten")
+    i0 = next(i for i in range(n + 1) if dist_u[alpha[i]] != i)
+    beta0 = enumerate_geodesics(g, u, alpha[i0], limit=1)[0][0]
+    j = beta0.length
+    # A geodesic prefix one step earlier forces j to be i0-1 or i0-2.
+    assert j in (i0 - 1, i0 - 2)
+    result = PathSeq(beta0.vertices + alpha.vertices[i0 + 1 :])
+    assert result.length in (n - 1, n - 2)
+    return result
+
+
+def count_geodesics(g: Graph, u: int, v: int) -> int:
+    """Number of geodesics u -> v; 1 when u = v (the empty path)."""
+    g.check_vertex(u)
+    g.check_vertex(v)
+    dag = g.dag(u)
+    if dag.dist[v] == UNREACHED:
+        raise UnreachablePairError(f"vertices {u} and {v} are in different components")
+    return dag.counts[v]
+
+
+def is_complete_bipartite(g: Graph) -> Optional[tuple[int, int]]:
+    """Part sizes (small, large) when g is a complete bipartite graph K_{k,l},
+    whose parts are the parities of the distances from vertex 0."""
+    if g.vertex_count == 0:
+        return None
+    dist = g.dag(0).dist
+    if UNREACHED in dist:
+        raise UnreachablePairError("graph is not connected")
+    color = [d % 2 for d in dist]
+    if any(color[u] == color[v] for u, v in g.edges()):
+        return None
+    part = [color.count(0), color.count(1)]
+    if any(len(nbrs) != part[1 - c] for nbrs, c in zip(g.adj, color)):
+        return None
+    return (min(part), max(part))
+
+
+def is_geodesic_word(ball: CayleyBall, w: Word) -> bool:
+    """Whether |w| equals the norm of the element w spells out.
+
+    Only decided for |w| <= ball.radius; longer words are a hard error
+    rather than a guess.
+    """
+    if len(w) > ball.radius:
+        raise BallRangeError(
+            f"word of length {len(w)} exceeds the ball radius {ball.radius}"
+        )
+    rows = dict(zip(ball.genset.labels, ball.steps))
+    v = 0
+    for letter in w:
+        row = rows.get(letter)
+        if row is None:
+            raise ValueError(f"letter {letter!r} is not a generator label")
+        v = row[v]
+    return ball.norms[v] == len(w)
+
+
+def words_at(stab: Stabilization, c: int) -> frozenset[Word]:
+    """L_{n_star + c} as stab pumps it."""
+    if c < 0:
+        raise ValueError("c must be nonnegative")
+    mid = (stab.t + stab.s) * (stab.q + c) + stab.t
+    return frozenset(a + mid + g for a in stab.alpha_set for g in stab.gamma_set)
+
+
+def step(automaton: FactorAutomaton, state: int, letter: str) -> int:
+    row = automaton.transitions[state]
+    if letter not in row:
+        raise ValueError(f"letter {letter!r} is outside the automaton alphabet")
+    return row[letter]
+
+
+def accepts(automaton: FactorAutomaton, w: Word) -> bool:
+    state = automaton.start
+    for letter in w:
+        state = step(automaton, state, letter)
+        if state == automaton.dead:
+            return False
+    return state != automaton.dead
+
+
+def element(genset: GenSet, label: str):
+    """The element of the generator labelled label."""
+    try:
+        return genset.elements[genset.labels.index(label)]
+    except ValueError:
+        raise GenSetError(f"unknown generator label {label!r}")

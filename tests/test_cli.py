@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 from geodetic import cayley_ball, cli, ladder_bound_A, parse_group_file
-from geodetic.graphs import Graph, format_graph, graph_to_dot, parse_graph
+from geodetic.graphs import Graph, graph_to_dot, parse_graph
 from geodetic.lang import parse_forbidden_file
-from geodetic.zoo import complete_bipartite, grid_graph, petersen_graph, random_tree
+from geodetic.zoo import complete_bipartite, petersen_graph, random_tree
 
+from fixtures import format_graph, grid_graph
 from oracles import word_of_path
 
 C6_GROUP = "group cyclic 6\ngen a pow 1\ngen a' pow 5\nball R=3\n"
@@ -542,6 +543,14 @@ def test_forbidden_file_rejects_a_second_header(capsys, tmp_path):
         2, "", "error: line 2: duplicate 'forbidden' header\n")
 
 
+@pytest.mark.parametrize("word, position", [("a a", 1), ("ab\tb", 2)], ids=["space", "tab"])
+def test_forbidden_file_rejects_whitespace_inside_a_word(capsys, tmp_path, word, position):
+    fset = tmp_path / "fset.txt"
+    fset.write_text(f"forbidden e=3\n{word}\n")
+    assert run(capsys, ["automaton", str(fset)]) == (
+        2, "", f"error: line 2: whitespace at position {position} in {word!r}\n")
+
+
 def test_forbidden_file_checks_e_and_word_lengths(capsys, tmp_path):
     fset = tmp_path / "fset.txt"
     for text, message in (
@@ -713,6 +722,11 @@ def test_powers_and_centraliser_read_labels_that_prefix_each_other(capsys, tmp_p
 def test_word_tool_primitive_root(capsys):
     code, out, _ = run(capsys, ["word-tool", "primitive-root", "abab"])
     assert code == 0 and out == "ab ^ 2\n"
+
+
+def test_word_tool_rejects_whitespace_inside_a_word(capsys):
+    assert run(capsys, ["word-tool", "primitive-root", "ab ab"]) == (
+        2, "", "error: whitespace at position 2 in 'ab ab'\n")
 
 
 def test_word_tool_solve(capsys):
@@ -916,6 +930,13 @@ def test_group_file_errors_name_their_line(capsys, tmp_path, text, lineno):
     code, out, err = run(capsys, ["ball", "--group", str(path)])
     assert code == 2 and out == ""
     assert err.startswith(f"error: line {lineno}: ")
+
+
+def test_group_file_rejects_a_second_ball_line(capsys, tmp_path):
+    path = tmp_path / "two-balls.grp"
+    path.write_text("group cyclic 6\ngen a pow 1\ngen A pow -1\nball R=2\n# again\nball R=3\n")
+    assert run(capsys, ["ball", "--group", str(path)]) == (
+        2, "", "error: line 6: duplicate ball line\n")
 
 
 def parsed(capsys, parser, argv):

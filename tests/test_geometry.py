@@ -21,13 +21,11 @@ from geodetic import (
     enumerate_bigons,
     enumerate_geodesics,
     enumerate_triangles,
-    fellow_travel_bound,
     find_ladders,
     ladder_bound_A,
     min_geodetic_k,
     pair_stats,
     parse_group_file,
-    shorten_paths,
 )
 from geodetic import cli, geometry, zoo
 from geodetic.geometry import (
@@ -36,24 +34,24 @@ from geodetic.geometry import (
     LadderRecord,
     TriangleRecord,
     iter_disjoint_pairs,
-    pad,
     validate_path,
 )
 from geodetic.graphs import Graph, UnreachablePairError
 from geodetic.zoo import (
     complete_bipartite,
     cycle_graph,
-    grid_graph,
     path_graph,
     petersen_graph,
     random_tree,
     star_graph,
 )
 
+from fixtures import cyclic_with_step, grid_graph, plain_group
 from oracles import (
     bigon_report_line,
     dfs_walks_of_length,
     expanded,
+    fellow_travel_bound,
     ladder_report_line,
     naive_bigons,
     naive_disjoint_pairs,
@@ -61,6 +59,8 @@ from oracles import (
     naive_pair_stats,
     naive_scoped_pairs,
     naive_triangles,
+    pad,
+    shorten_paths,
     triangle_report_line,
 )
 
@@ -245,7 +245,7 @@ def test_shorten_paths_k23_example():
     walks = sorted(dfs_walks_of_length(g, 0, 1, 4))
     paths = [PathSeq(w) for w in walks[:4]]
     result = shorten_paths(g, paths, 3)
-    assert result.start == 0 and result.end == 1
+    assert result[0] == 0 and result[-1] == 1
     assert result.length == 2
     validate_path(g, result)
 
@@ -256,7 +256,7 @@ def test_shorten_paths_c5():
     paths = [PathSeq(w) for w in walks[:2]]
     result = shorten_paths(g, paths, 1)
     assert result.length in (2, 3)
-    assert result.start == 0 and result.end == 2
+    assert result[0] == 0 and result[-1] == 2
     validate_path(g, result)
 
 
@@ -290,7 +290,7 @@ def test_shorten_paths_random_trees(seed):
     result = shorten_paths(g, [PathSeq(w) for w in walks[:2]], 1)
     validate_path(g, result)
     assert result.length in (n - 1, n - 2)
-    assert result.start == u and result.end == v
+    assert result[0] == u and result[-1] == v
 
 
 def test_bigons_c4():
@@ -303,13 +303,13 @@ def test_bigons_c4():
 def _bigon_record(g, u, v):
     """The record enumerate_bigons(g) keeps for the vertex pair u < v."""
     return next(r for r in enumerate_bigons(g).found
-                if (r.geodesics[0].start, r.geodesics[0].end) == (u, v))
+                if (r.geodesics[0][0], r.geodesics[0][-1]) == (u, v))
 
 
 def _triangle_record(g, x, y, z):
     """The record enumerate_triangles(g) keeps for the corner triple x <= y <= z."""
     return next(r for r in enumerate_triangles(g).found
-                if (r.alphas[0].start, r.betas[0].start, r.gammas[0].start) == (x, y, z))
+                if (r.alphas[0][0], r.betas[0][0], r.gammas[0][0]) == (x, y, z))
 
 
 def test_bigons_k33_pair_count():
@@ -401,7 +401,7 @@ WALK_HOSTS = [
 def _random_walk(g, rng, n):
     vs = [rng.randrange(g.vertex_count)]
     for _ in range(n):
-        vs.append(rng.choice(g.neighbors(vs[-1])))
+        vs.append(rng.choice(g.adj[vs[-1]]))
     return PathSeq(tuple(vs))
 
 
@@ -434,7 +434,7 @@ def _scan_hosts():
         (zoo.free_group(2), 3),
         (zoo.z_cross_z2(), 4),
         (zoo.cyclic_odd_powers(3), 2),
-        (zoo.plain_group(0, (2, 2)), 5),
+        (plain_group(0, (2, 2)), 5),
     ]:
         spec, gens = spec_gens
         ball = cayley_ball(spec, gens, radius)
@@ -600,9 +600,9 @@ def _relabel(g, rng):
 MASK_BALLS = [
     (zoo.free_group(2), 2),
     (zoo.z_cross_z2(), 3),
-    (zoo.plain_group(0, (2, 2)), 4),
+    (plain_group(0, (2, 2)), 4),
     (zoo.cyclic_odd_powers(3), 2),
-    (zoo.plain_group(0, (2, 3)), 4),
+    (plain_group(0, (2, 3)), 4),
 ]
 
 
@@ -903,7 +903,7 @@ def test_triangle_scan_reads_rows_only_for_the_first_two_corners(monkeypatch):
     monkeypatch.setattr(Graph, "dag", recording)
     cov = enumerate_triangles(ball)
     assert cov.pairs_scanned == len(cov.found) == SearchScope().max_pairs
-    corners = {v for r in cov.found for v in (r.alphas[0].start, r.alphas[0].end)}
+    corners = {v for r in cov.found for v in (r.alphas[0][0], r.alphas[0][-1])}
     assert sources and set(sources) <= corners
     assert len(sources) == len(set(sources))
     assert expanded(cov) == naive_triangles(ball, SearchScope())
@@ -926,10 +926,10 @@ SKIP_BALLS = [
     lambda r: cayley_ball(*zoo.free_group(2), r),
     lambda r: cayley_ball(*zoo.z_cross_z2(), r),
     _zxz_ball,
-    lambda r: cayley_ball(*zoo.plain_group(0, (2, 3)), r),
+    lambda r: cayley_ball(*plain_group(0, (2, 3)), r),
     lambda r: cayley_ball(*zoo.cyclic_odd_powers(3), r),
-    lambda r: cayley_ball(*zoo.cyclic_with_step(7), r),
-    lambda r: cayley_ball(*zoo.cyclic_with_step(12, 5), r),
+    lambda r: cayley_ball(*cyclic_with_step(7), r),
+    lambda r: cayley_ball(*cyclic_with_step(12, 5), r),
 ]
 
 

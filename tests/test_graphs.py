@@ -8,22 +8,17 @@ from geodetic import (
     UnreachablePairError,
     build_graph,
     cayley_ball,
-    count_geodesics,
     enumerate_bigons,
     enumerate_geodesics,
     enumerate_triangles,
-    fellow_travel_bound,
     find_ladders,
-    format_graph,
     graph_to_dot,
-    is_complete_bipartite,
     is_k_geodetic,
     iter_disjoint_pairs,
     min_geodetic_k,
     pair_stats,
     parse_graph,
     parse_group_file,
-    shorten_paths,
 )
 from geodetic import graphs
 from geodetic.graphs import UNREACHED, bfs_dag
@@ -31,7 +26,6 @@ from geodetic.zoo import (
     complete_bipartite,
     cycle_graph,
     free_group,
-    grid_graph,
     infinite_cyclic,
     path_graph,
     petersen_graph,
@@ -43,9 +37,11 @@ import random
 import re
 from unittest import mock
 
+from fixtures import format_graph, grid_graph
 from oracles import (
-    bfs_distances, brute_complete_bipartite, dfs_shortest_paths, expanded, first_maximiser,
-    first_violator, sorted_pair_counts,
+    bfs_distances, brute_complete_bipartite, count_geodesics, dfs_shortest_paths, expanded,
+    fellow_travel_bound, first_maximiser, first_violator, is_complete_bipartite, shorten_paths,
+    sorted_pair_counts,
 )
 
 
@@ -293,7 +289,7 @@ def test_enumerate_long_geodesic_without_recursion():
     paths, truncated = enumerate_geodesics(ball.graph, u, v)
     assert not truncated and len(paths) == 1
     assert len(paths[0].vertices) == 1101
-    assert paths[0].start == u and paths[0].end == v
+    assert paths[0][0] == u and paths[0][-1] == v
 
 
 def test_dag_cache_keeps_one_entry_per_source():
@@ -479,7 +475,7 @@ def test_dot_export():
 
 def test_pathseq_behavior():
     p = PathSeq((0, 1, 2))
-    assert p.length == 2 and p.start == 0 and p.end == 2
+    assert p.length == 2 and p[0] == 0 and p[-1] == 2
     assert p[1] == 1
     with pytest.raises(ValueError):
         PathSeq(())

@@ -14,7 +14,6 @@ from geodetic import (
     ProductSpec,
     TableSpec,
     cayley_ball,
-    is_complete_bipartite,
     parse_group_file,
     validate_genset,
     word_to_element,
@@ -23,15 +22,14 @@ from geodetic.graphs import is_k_geodetic, min_geodetic_k
 from geodetic.groups import BALL_BUDGET_ENV
 from geodetic.zoo import (
     cyclic_odd_powers,
-    cyclic_with_step,
     free_group,
     infinite_cyclic,
-    plain_group,
     z2_star_z2,
     z_cross_z2,
 )
 
-from oracles import push_product, two_pass_ball, word_of_path
+from fixtures import cyclic_with_step, plain_group
+from oracles import element, is_complete_bipartite, push_product, two_pass_ball, word_of_path
 
 
 def cyclic_table(n):
@@ -266,7 +264,7 @@ def test_validate_genset_errors():
         validate_genset(z6, [("a", 1), ("b", 1)])
     gens = validate_genset(z6, [("a", 1), ("a'", 5)])
     assert gens.inverse_label == {"a": "a'", "a'": "a"}
-    assert gens.element("a'") == 5
+    assert element(gens, "a'") == 5
 
 
 def test_cayley_ball_example_structure():
@@ -546,12 +544,12 @@ def test_parse_group_file_variants():
         "group table 3\n0 1 2\n1 2 0\n2 0 1\ngen g idx 1\ngen g' idx 2\n"
     )
     assert isinstance(gf.spec, TableSpec)
-    assert gf.genset.element("g") == 1
+    assert element(gf.genset, "g") == 1
 
     gf = parse_group_file(
         "group product cyclic 0 cyclic 2\ngen a pow 1, pow 0\ngen a' pow -1, pow 0\ngen f pow 0, pow 1\n"
     )
-    assert gf.genset.element("f") == (0, 1)
+    assert element(gf.genset, "f") == (0, 1)
 
     gf = parse_group_file(
         "group plain Z=1 factors=3\ngen a word a\ngen a' word a^-1\ngen b word b\ngen b' word b^2\n"
@@ -587,8 +585,8 @@ def test_zoo_group_constructors():
         labels = set(gens.labels)
         for label in labels:
             assert gens.inverse_label[label] in labels
-            inv = spec.inverse(gens.element(label))
-            assert gens.element(gens.inverse_label[label]) == inv
+            inv = spec.inverse(element(gens, label))
+            assert element(gens, gens.inverse_label[label]) == inv
 
 
 # Free and finite factors side by side; names a, b, c, ... by factor index.

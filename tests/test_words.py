@@ -23,6 +23,13 @@ def test_parse_and_format():
     assert format_word(("a", "b'", "a")) == "ab'a"
 
 
+def test_parse_rejects_whitespace_inside_a_word():
+    assert parse_word(" ab\n") == ("a", "b")
+    for text, position in (("a a", 1), ("ab'\tb", 3)):
+        with pytest.raises(ValueError, match=f"whitespace at position {position} in"):
+            parse_word(text)
+
+
 def test_parse_with_alphabet_longest_match():
     letters = {"a1", "a3", "a13"}
     assert parse_word("a13a1", letters) == ("a13", "a1")
