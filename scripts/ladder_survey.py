@@ -9,7 +9,7 @@ The point of the exercise is how much slack the bounds leave on small hosts.
 
 import argparse
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from geodetic import (
     CayleyBall,
@@ -31,8 +31,7 @@ from geodetic.zoo import (
 )
 
 
-@dataclass
-class SurveyConfig:
+class SurveyConfig(NamedTuple):
     seed: int = 0
     max_pairs: int = 2000
     max_geodesics: int = 50

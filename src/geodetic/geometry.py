@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import chain, combinations, combinations_with_replacement, islice, repeat
 from operator import eq, or_
 from typing import Iterator, NamedTuple, Optional
 
 from .graphs import (
+    Frozen,
     Graph,
     PathSeq,
     UNREACHED,
@@ -133,8 +133,7 @@ def close_bound_C(m: int, k: int) -> int:
     return m * ladder_bound_A(m, k)
 
 
-@dataclass(frozen=True)
-class SearchScope:
+class SearchScope(Frozen):
     """Caps for the scoped searches; None disables a cap, a negative one raises ValueError.
 
     max_pairs caps the vertex pairs of ladders and bigons, and the triple cap
@@ -147,13 +146,20 @@ class SearchScope:
     max_geodesics: Optional[int] = 50
     max_geodesic_pairs: Optional[int] = 200_000
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        max_pairs: Optional[int] = max_pairs,
+        max_geodesics: Optional[int] = max_geodesics,
+        max_geodesic_pairs: Optional[int] = max_geodesic_pairs,
+    ):
+        vars(self).update(
+            max_pairs=max_pairs, max_geodesics=max_geodesics, max_geodesic_pairs=max_geodesic_pairs
+        )
         for name, cap in vars(self).items():
             if cap is not None and cap < 0:
                 raise ValueError(f"{name} must be nonnegative, got {cap}")
 
 
-@dataclass
 class Coverage:
     """What a scoped search found (the reports) and how much ground it covered.
 
@@ -172,11 +178,22 @@ class Coverage:
     bigon or triangle.
     """
 
-    found: list = field(default_factory=list)
-    pairs_scanned: int = 0
-    geodesic_pairs_scanned: int = 0
-    skipped: int = 0
-    exhausted: bool = False
+    def __init__(
+        self,
+        found: Optional[list] = None,
+        pairs_scanned: int = 0,
+        geodesic_pairs_scanned: int = 0,
+        skipped: int = 0,
+        exhausted: bool = False,
+    ):
+        self.found = [] if found is None else found
+        self.pairs_scanned = pairs_scanned
+        self.geodesic_pairs_scanned = geodesic_pairs_scanned
+        self.skipped = skipped
+        self.exhausted = exhausted
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is Coverage else NotImplemented
 
 
 def _graph_and_filter(host: Graph | CayleyBall):

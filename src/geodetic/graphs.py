@@ -7,8 +7,7 @@ asks for it and dropped with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 UNREACHED = -1
 
@@ -21,19 +20,40 @@ class GraphFormatError(ValueError):
     """Malformed graph description, textual or structural."""
 
 
-@dataclass(frozen=True)
-class PathSeq:
+class Frozen:
+    """Base of the records whose fields are set once: assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PathSeq(Frozen):
     """A walk v_0..v_n; length counts edges, so a single vertex has length 0.
 
     Walks may repeat vertices; a PathSeq carries no record of whether it is
     a geodesic, so callers that need one check it against the graph.
     """
 
-    vertices: tuple[int, ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(self, vertices: tuple[int, ...]):
+        if not vertices:
             raise ValueError("a path needs at least one vertex")
+        _set_vertices(self, vertices)
+
+    def __eq__(self, other):
+        return self.vertices == other.vertices if type(other) is PathSeq else NotImplemented
+
+    def __hash__(self):
+        return hash(self.vertices)
+
+    def __repr__(self):
+        return f"PathSeq(vertices={self.vertices!r})"
 
     @property
     def length(self) -> int:
@@ -43,8 +63,12 @@ class PathSeq:
         return self.vertices[i]
 
 
-@dataclass
-class GeodesicDag:
+# PathSeq.__init__ stores through the slot's own setter, which Frozen.__setattr__
+# does not see and which costs less than object.__setattr__.
+_set_vertices = PathSeq.vertices.__set__
+
+
+class GeodesicDag(NamedTuple):
     """Shortest-path data from a single BFS source.
 
     dist[v] is UNREACHED for vertices in other components, and counts[v] is

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .graphs import Graph
+from .graphs import Frozen, Graph
 from .words import Word
 
 Element = Union[int, tuple]
@@ -537,17 +536,20 @@ class PlainSpec(GroupSpec):
         return self.multiply((), syllables)
 
 
-@dataclass(frozen=True)
-class GenSet:
+class GenSet(Frozen):
     """Labelled inverse-closed generating set without the identity.
 
     inverse_label pairs each label with the label of its inverse element
     (a label maps to itself for an involution).
     """
 
-    labels: tuple[str, ...]
-    elements: tuple[Element, ...]
-    inverse_label: dict[str, str]
+    __slots__ = ("labels", "elements", "inverse_label")
+
+    def __init__(
+        self, labels: tuple[str, ...], elements: tuple[Element, ...], inverse_label: dict[str, str]
+    ):
+        for name, value in zip(self.__slots__, (labels, elements, inverse_label)):
+            object.__setattr__(self, name, value)
 
     def __len__(self):
         return len(self.labels)
@@ -582,7 +584,6 @@ def validate_genset(spec: GroupSpec, pairs: Sequence[tuple[str, Element]]) -> Ge
     return GenSet(tuple(labels), tuple(elements), inverse_label)
 
 
-@dataclass
 class CayleyBall:
     """The radius-R ball around the identity in a Cayley graph.
 
@@ -610,18 +611,29 @@ class CayleyBall:
     same answers and are their oracle.
     """
 
-    spec: GroupSpec
-    genset: GenSet
-    radius: int
-    elements: list[Element]
-    index: dict[Element, int]
-    norms: list[int]
-    complete: bool
-    steps: list[list[int]]
-    # A plain field set in __init__, not a cached_property: a key that
-    # appears late in the instance dict slows every attribute read of the
-    # ball, is_trusted_pair's included.
-    _graph: Optional[Graph] = field(default=None, repr=False, compare=False)
+    def __init__(
+        self,
+        spec: GroupSpec,
+        genset: GenSet,
+        radius: int,
+        elements: list[Element],
+        index: dict[Element, int],
+        norms: list[int],
+        complete: bool,
+        steps: list[list[int]],
+    ):
+        self.spec = spec
+        self.genset = genset
+        self.radius = radius
+        self.elements = elements
+        self.index = index
+        self.norms = norms
+        self.complete = complete
+        self.steps = steps
+        # Set here, not a cached_property: a key that appears late in the
+        # instance dict slows every attribute read of the ball,
+        # is_trusted_pair's included.
+        self._graph: Optional[Graph] = None
 
     @property
     def graph(self) -> Graph:
@@ -803,13 +815,15 @@ def word_to_element(spec: GroupSpec, genset: GenSet, w: Word) -> Element:
     return out
 
 
-@dataclass
 class GroupFile:
     """Parsed group description file."""
 
-    spec: GroupSpec
-    genset: GenSet
-    default_radius: Optional[int]
+    __slots__ = ("spec", "genset", "default_radius")
+
+    def __init__(self, spec: GroupSpec, genset: GenSet, default_radius: Optional[int]):
+        self.spec = spec
+        self.genset = genset
+        self.default_radius = default_radius
 
 
 def _group_spec(parts: list[str]) -> GroupSpec:

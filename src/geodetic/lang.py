@@ -24,10 +24,9 @@ graph and run no BFS.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import compress
 from operator import eq
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .groups import CayleyBall, Element, word_to_element
 from .words import EMPTY_WORD, Word, format_word, parse_word
@@ -41,8 +40,7 @@ class FiniteOrderError(ValueError):
     """Power-language analysis needs an infinite-order base element."""
 
 
-@dataclass(frozen=True)
-class ForbiddenSet:
+class ForbiddenSet(NamedTuple):
     """Minimal non-geodesic factors up to length e.
 
     Every member is non-geodesic while all its proper factors are geodesic;
@@ -242,8 +240,7 @@ def _path_word(path: tuple) -> Word:
     return tuple(reversed(letters))
 
 
-@dataclass(frozen=True)
-class Stabilization:
+class Stabilization(NamedTuple):
     """Eventually the geodesic sets of g^n pump one periodic block:
     L_{n_star + c} = { alpha · (ts)^(q+c) · t · gamma } over the two sets."""
 
@@ -255,8 +252,7 @@ class Stabilization:
     gamma_set: tuple[Word, ...]
 
 
-@dataclass(frozen=True)
-class PowerLanguageReport:
+class PowerLanguageReport(NamedTuple):
     """Geodesic-word sets L_n for g^0 .. g^n_max and the detected pumping shape."""
 
     base_word: Word

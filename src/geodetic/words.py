@@ -6,8 +6,7 @@ Without a letter set, a trailing apostrophe marks a formal inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 Word = tuple[str, ...]
 
@@ -84,8 +83,7 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     return w, 1
 
 
-@dataclass(frozen=True)
-class LSDecomposition:
+class LSDecomposition(NamedTuple):
     """Witness for zx = yz: x = st, y = ts, z = (ts)^q t."""
 
     s: Word

@@ -30,7 +30,6 @@ generator lookup by label.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from itertools import combinations, product
 from typing import NamedTuple, Optional, Sequence
 
@@ -433,7 +432,7 @@ def expanded(cov: Coverage) -> Coverage:
         else:
             sides, report = product(r.alphas, r.betas, r.gammas), TriangleReport
         found.extend(report(*abc, flag) for abc, flag in zip(sides, r.degenerate))
-    return replace(cov, found=found)
+    return Coverage(found, cov.pairs_scanned, cov.geodesic_pairs_scanned, cov.skipped, cov.exhausted)
 
 
 def ladder_report_line(r: LadderReport) -> str:

@@ -959,6 +959,12 @@ def test_one_subcommand_parser_prints_what_the_full_one_does(capsys, monkeypatch
         assert parsed(capsys, cli.build_parser(name), argv) == full
 
 
+@pytest.mark.parametrize("name", [name for name, spec in cli.COMMANDS.items() if "scope" in spec[2]])
+def test_scope_flags_default_to_2000_pairs_and_50_geodesics(name):
+    args = cli.build_parser(name).parse_args([name])
+    assert (args.scope_pairs, args.scope_geodesics) == (2000, 50)
+
+
 SUBCOMMAND_HELP = [
     ("ball", "build a Cayley ball and summarize it"),
     ("check-k", "test k-geodeticity"),

@@ -548,6 +548,15 @@ def test_scan_results_are_named_tuple_records():
     assert all(seen.values()), seen
 
 
+def test_coverages_never_share_found_and_compare_by_fields():
+    a, b = Coverage(), Coverage()
+    a.found.append("x")
+    assert b.found == [] and a.found is not b.found
+    assert Coverage(["x"], 1, 2, 3, True) == Coverage(
+        found=["x"], pairs_scanned=1, geodesic_pairs_scanned=2, skipped=3, exhausted=True)
+    assert Coverage() != Coverage(exhausted=True) and Coverage() == b
+
+
 @pytest.mark.parametrize("cap", ["max_pairs", "max_geodesics", "max_geodesic_pairs"])
 def test_scope_rejects_negative_cap_and_is_frozen(cap):
     with pytest.raises(ValueError, match=f"^{cap} must be nonnegative, got -1$"):

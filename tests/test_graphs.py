@@ -477,5 +477,12 @@ def test_pathseq_behavior():
     p = PathSeq((0, 1, 2))
     assert p.length == 2 and p[0] == 0 and p[-1] == 2
     assert p[1] == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a path needs at least one vertex$"):
         PathSeq(())
+
+
+def test_pathseq_equality_and_hash_follow_the_vertices():
+    p, same, other = PathSeq((0, 1, 2)), PathSeq(vertices=(0, 1, 2)), PathSeq((0, 1))
+    assert p == same and p != other and p != (0, 1, 2)
+    assert hash(p) == hash(same)
+    assert len({p, same, other}) == 2

@@ -15,13 +15,27 @@ Where some class also stores that name as data (``self.x = ...`` or a class
 field), a method counts only a call ``x.name(...)`` or a read off ``self``
 in its own class, and a property only the read off ``self``.  Dunder
 methods, which the interpreter calls, are read by their class.
+
+The package's records are NamedTuples and plain classes, not dataclasses:
+@dataclass generates and compiles their methods at every import, and
+importing dataclasses also imports inspect, all before a command starts.
+The records keep the contracts the decorator gave them.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+from geodetic import PathSeq, PowerLanguageReport, SearchScope, Stabilization, solve_zx_eq_yz
+from geodetic.lang import parse_forbidden_file
+from geodetic.zoo import infinite_cyclic
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "geodetic"
@@ -128,3 +142,40 @@ def _test_only_names() -> list[str]:
 
 def test_every_name_has_a_reader_outside_tests():
     assert _test_only_names() == []
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+    assert "dataclasses" not in imported
+    code = "import sys, geodetic.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+
+
+FROZEN_RECORDS = [
+    (PathSeq((0, 1)), "vertices"),
+    (SearchScope(), "max_pairs"),
+    (infinite_cyclic()[1], "labels"),
+    (parse_forbidden_file("forbidden e=2\naa\n"), "words"),
+    (Stabilization(0, ((),), (), ("a",), 0, ((),)), "q"),
+    (PowerLanguageReport(("a",), ((),), None), "languages"),
+    (solve_zx_eq_yz(("a",), ("a",), ("a",)), "q"),
+]
+
+
+@pytest.mark.parametrize("record, name", FROZEN_RECORDS,
+                         ids=[type(record).__name__ for record, _ in FROZEN_RECORDS])
+def test_formerly_frozen_records_reject_assignment(record, name):
+    value = getattr(record, name)
+    with pytest.raises(AttributeError):
+        setattr(record, name, value)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    assert getattr(record, name) is value
