@@ -9,7 +9,6 @@ The point of the exercise is how much slack the bounds leave on small hosts.
 
 import argparse
 import random
-from typing import NamedTuple
 
 from geodetic import (
     CayleyBall,
@@ -31,15 +30,11 @@ from geodetic.zoo import (
 )
 
 
-class SurveyConfig(NamedTuple):
-    seed: int = 0
-    max_pairs: int = 2000
-    max_geodesics: int = 50
-    widths: tuple = (1, 2)
+WIDTHS = (1, 2)
 
 
-def build_hosts(cfg):
-    rng = random.Random(cfg.seed)
+def build_hosts(seed):
+    rng = random.Random(seed)
     hosts = [
         ("path P8", path_graph(8)),
         ("star S6", star_graph(6)),
@@ -59,7 +54,7 @@ def build_hosts(cfg):
     return hosts
 
 
-def survey_host(name, host, cfg, scope):
+def survey_host(name, host, scope):
     if isinstance(host, CayleyBall):
         k, _ = host.min_geodetic_k()
     else:
@@ -67,9 +62,9 @@ def survey_host(name, host, cfg, scope):
     # The disjoint pairs and their distances do not depend on the width, so
     # one scan at the largest width gives every width's a_m, the number of
     # distances equal to m, and c_m, the number between 1 and m.
-    pairs = iter_disjoint_pairs(host, max(cfg.widths), scope)
+    pairs = iter_disjoint_pairs(host, max(WIDTHS), scope)
     distances = [stats.distances for _, _, stats in pairs]
-    for m in cfg.widths:
+    for m in WIDTHS:
         heights = [d.count(m) for d in distances]
         max_close = max((sum(map(d.count, range(1, m + 1))) for d in distances), default=0)
         print(
@@ -85,15 +80,12 @@ def main():
     parser.add_argument("--max-pairs", type=int, default=2000)
     parser.add_argument("--max-geodesics", type=int, default=50)
     args = parser.parse_args()
-    cfg = SurveyConfig(
-        seed=args.seed, max_pairs=args.max_pairs, max_geodesics=args.max_geodesics
-    )
     try:
-        scope = SearchScope(max_pairs=cfg.max_pairs, max_geodesics=cfg.max_geodesics)
+        scope = SearchScope(max_pairs=args.max_pairs, max_geodesics=args.max_geodesics)
     except ValueError as exc:
         parser.error(str(exc))
-    for name, host in build_hosts(cfg):
-        survey_host(name, host, cfg, scope)
+    for name, host in build_hosts(args.seed):
+        survey_host(name, host, scope)
 
 
 if __name__ == "__main__":

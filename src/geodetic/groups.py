@@ -4,10 +4,11 @@ A GroupSpec supplies identity/multiply/inverse over hashable canonical
 element forms: residues for cyclic groups, indices for multiplication
 tables, component tuples for direct products, and reduced alternating
 syllable tuples for plain groups (free products of Z copies and finite
-cyclic factors).  right_action and left_action fix one factor of a
-product, for the many products by one element that ball closure and the
-centraliser scan make.  Balls are built by breadth-first closure of the
-identity under an inverse-closed generating set.
+cyclic factors).  Every spec multiplies canonical elements only; raw
+input is reduced where it is parsed.  right_action fixes the right factor
+of a product, for the many products by one generator that ball closure
+makes.  Balls are built by breadth-first closure of the identity under an
+inverse-closed generating set.
 """
 
 from __future__ import annotations
@@ -49,16 +50,10 @@ class GroupSpec:
 
     def right_action(self, s: Element) -> Callable[[Element], Element]:
         """The map a ↦ a·s for the fixed element s, by default through
-        multiply; CyclicSpec adds s, and PlainSpec joins s on through a
-        junction product, which touches only the syllables that meet."""
+        multiply; CyclicSpec adds s, and PlainSpec gives a one-syllable s a
+        closure that touches only the last syllable of a."""
         multiply = self.multiply
         return lambda a: multiply(a, s)
-
-    def left_action(self, s: Element) -> Callable[[Element], Element]:
-        """The map a ↦ s·a for the fixed element s, by default through
-        multiply; PlainSpec's is a junction product, as for right_action."""
-        multiply = self.multiply
-        return lambda a: multiply(s, a)
 
     def inverse(self, a: Element) -> Element:
         raise NotImplementedError
@@ -88,14 +83,6 @@ class GroupSpec:
     def parse_element(self, text: str) -> Element:
         """Parse the variant's element expression (see the file format)."""
         raise NotImplementedError
-
-    def power(self, a: Element, n: int) -> Element:
-        if n < 0:
-            return self.power(self.inverse(a), -n)
-        out = self.identity()
-        for _ in range(n):
-            out = self.multiply(out, a)
-        return out
 
 
 class CyclicSpec(GroupSpec):
@@ -378,26 +365,6 @@ class PlainSpec(GroupSpec):
         return ()
 
     def multiply(self, a, b):
-        """Reduced form of a·b; the syllables of b need not be reduced.
-
-        Each syllable of b merges into the last one of the result when both
-        come from one factor, and a syllable that reduces to exponent 0
-        drops out, which may expose another syllable to merge with.  Ball
-        closure multiplies by generators through right_action instead.
-        """
-        orders = self._orders
-        out = list(a)
-        for factor, e in b:
-            if out and out[-1][0] == factor:
-                e += out.pop()[1]
-            o = orders[factor]
-            if o:
-                e %= o
-            if e:
-                out.append((factor, e))
-        return tuple(out)
-
-    def _join(self, a, b):
         """Reduced form of a·b for reduced a and b.
 
         Only the syllables that meet at the junction change: pairs from
@@ -426,13 +393,10 @@ class PlainSpec(GroupSpec):
         """a ↦ a·s for reduced a.  A one-syllable s, as every generator of
         a plain group file, gets a closure with its factor, exponent, order
         and syllable bound in, which touches only the last syllable of a;
-        its exponent need not be reduced.  Any other s is reduced once and
-        joined on through _join, which touches only the syllables of a and
-        s that meet."""
+        its exponent need not be reduced, so parse_element reduces raw
+        syllables through it.  Any other s acts through multiply."""
         if len(s) != 1:
-            s = self.multiply((), s)
-            join = self._join
-            return lambda a: join(a, s)
+            return super().right_action(s)
         ((factor, e),) = s
         o = self._orders[factor]
         if o:
@@ -448,13 +412,6 @@ class PlainSpec(GroupSpec):
             return a + syllable
 
         return act
-
-    def left_action(self, s):
-        """a ↦ s·a for reduced a: s is reduced once, and _join touches only
-        the syllables of s and a that meet."""
-        s = self.multiply((), s)
-        join = self._join
-        return lambda a: join(s, a)
 
     def inverse(self, a):
         return tuple((f, self._canonical_exp(f, -e)) for f, e in reversed(a))
@@ -527,13 +484,13 @@ class PlainSpec(GroupSpec):
                 f"plain element expression must be 'word <syllable>...', got {text!r}"
             )
         name_to_factor = {self.factor_name(i): i for i in range(self.factor_count)}
-        syllables = []
+        out = ()
         for token in parts[1:]:
             name, _, exp = token.partition("^")
             if name not in name_to_factor:
                 raise GroupSpecError(f"unknown factor letter {name!r}")
-            syllables.append((name_to_factor[name], int(exp) if exp else 1))
-        return self.multiply((), syllables)
+            out = self.right_action(((name_to_factor[name], int(exp) if exp else 1),))(out)
+        return out
 
 
 class GenSet(Frozen):
@@ -846,14 +803,18 @@ def _group_spec(parts: list[str]) -> GroupSpec:
     if kind == "plain":
         rank = 0
         orders: list[int] = []
+        seen: set[str] = set()
         for token in parts[2:]:
-            if token.startswith("Z="):
-                rank = int(token[2:])
-            elif token.startswith("factors="):
-                body = token[len("factors=") :]
-                orders = [int(x) for x in body.split(",") if x]
-            else:
+            key, eq, value = token.partition("=")
+            if key not in ("Z", "factors") or not eq:
                 raise GroupSpecError(f"unknown plain option {token!r}")
+            if key in seen:
+                raise GroupSpecError(f"duplicate plain option '{key}='")
+            seen.add(key)
+            if key == "Z":
+                rank = int(value)
+            else:
+                orders = [int(x) for x in value.split(",") if x]
         return PlainSpec(rank, orders)
     raise GroupSpecError(f"unknown group kind {kind!r}")
 

@@ -14,9 +14,9 @@ to vertex; every step starts at a vertex of norm < R, so no walk meets a
 -1.  The forbidden-factor and local-exclusion walks visit states (a vertex
 with its first letter or automaton state), not words.  Only power_language
 and centraliser_in_ball multiply elements: power_language once per power,
-centraliser_in_ball through the left and right actions of g
-(GroupSpec.left_action and right_action), which on a plain group are
-junction products that touch only the syllables of g and h that meet.
+centraliser_in_ball twice per member, g·h through multiply and h·g
+through the right action of g; on a plain group both touch only the
+syllables of g and h that meet.
 Nothing here reads CayleyBall.graph, so the language commands build no
 graph and run no BFS.
 """
@@ -24,6 +24,7 @@ graph and run no BFS.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from itertools import compress
 from operator import eq
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
@@ -404,12 +405,12 @@ def power_language(ball: CayleyBall, g_word: Word, n_max: int) -> PowerLanguageR
 def centraliser_in_ball(ball: CayleyBall, g: Element) -> list[Element]:
     """Ball members commuting with g, in vertex order; g must be in the ball.
 
-    Each member h is kept when g·h == h·g, both from actions of g made
-    once, with no Python loop over the members.
+    Each member h is kept when g·h == h·g, with no Python loop over the
+    members.
     """
     ball.vertex_of(g)
     elements = ball.elements
-    left, right = ball.spec.left_action(g), ball.spec.right_action(g)
+    left, right = partial(ball.spec.multiply, g), ball.spec.right_action(g)
     return list(compress(elements, map(eq, map(left, elements), map(right, elements))))
 
 

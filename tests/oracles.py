@@ -23,8 +23,8 @@ The last section holds what no command runs, read only by the tests: the
 shortening step of the paper's k-geodetic argument (k+1 equal-length walks
 yield a shorter one), fellow travel after padding, single-pair geodesic
 counts, the complete-bipartite test, word geodesicity, the pumped languages
-of a Stabilization, the factor automaton's transition function and
-generator lookup by label.
+of a Stabilization, the factor automaton's transition function,
+generator lookup by label and integer powers of a group element.
 """
 
 from __future__ import annotations
@@ -907,3 +907,13 @@ def element(genset: GenSet, label: str):
         return genset.elements[genset.labels.index(label)]
     except ValueError:
         raise GenSetError(f"unknown generator label {label!r}")
+
+
+def power(spec, a, n: int):
+    """a^n in spec by repeated multiplication; a negative n powers the inverse."""
+    if n < 0:
+        return power(spec, spec.inverse(a), -n)
+    out = spec.identity()
+    for _ in range(n):
+        out = spec.multiply(out, a)
+    return out

@@ -939,6 +939,19 @@ def test_group_file_rejects_a_second_ball_line(capsys, tmp_path):
         2, "", "error: line 6: duplicate ball line\n")
 
 
+# Were the last value kept, the first file would read as F2, and the
+# second as Z3, where the involution a is not inverse-closed.
+@pytest.mark.parametrize("text, key", [
+    ("group plain Z=1 Z=2\ngen a word a\ngen a' word a^-1\n", "Z="),
+    ("group plain factors=2 factors=3\ngen a word a\n", "factors="),
+], ids=["Z", "factors"])
+def test_group_file_rejects_a_repeated_plain_option(capsys, tmp_path, text, key):
+    path = tmp_path / "repeated.grp"
+    path.write_text("# one option twice\n" + text)
+    assert run(capsys, ["ball", "--group", str(path)]) == (
+        2, "", f"error: line 2: duplicate plain option '{key}'\n")
+
+
 def parsed(capsys, parser, argv):
     """(exit code, stdout, stderr) of parser.parse_args(argv)."""
     try:

@@ -77,3 +77,23 @@ def test_traced_cli_matches_untraced(tmp_path):
             "geometry.find_ladders"} <= spanned
     assert (graphs.Graph.dag, groups.CyclicSpec.multiply, cli.cayley_ball,
             graphs.enumerate_geodesics) == originals
+
+
+def test_traced_centraliser_counts_its_products(tmp_path):
+    # The scan makes g·h and h·g through multiply for each of the 53
+    # members h of the F2 ball of radius 3, so the counter sees them all.
+    group = tmp_path / "f2.grp"
+    group.write_text("group plain Z=2\ngen a word a\ngen A word a^-1\ngen b word b\ngen B word b^-1\n")
+    argv = ["centraliser", "ab", "--group", str(group), "--radius", "3"]
+    plain = run_cli(argv)
+    tracer = load_tracing().Tracer([geodetic, cli, graphs, groups, geometry, lang, words])
+    tracer.install()
+    try:
+        traced = run_cli(argv)
+    finally:
+        tracer.remove()
+    assert traced == plain
+    assert plain[1].startswith("centraliser of a b in ball: size=3\n")
+    metrics = tracer.round_metrics(0, 1.0)
+    assert metrics["groups.ball_vertices"] == 53
+    assert metrics["groups.multiply_calls"] >= 2 * 53
