@@ -605,6 +605,40 @@ PLAIN_SPECS = [
 
 
 @st.composite
+def plain_products(draw):
+    """(spec, a, b): a and b reduced, b may cancel a away entirely."""
+    spec = draw(st.sampled_from(PLAIN_SPECS))
+    syllables = st.lists(
+        st.tuples(st.integers(0, spec.factor_count - 1), st.integers(-7, 7)), max_size=8
+    )
+    a = push_product(spec, (), draw(syllables))
+    tail = push_product(spec, (), draw(syllables))
+    # One syllable, as a generator: the closure of right_action.
+    factor = a[-1][0] if a and draw(st.booleans()) else draw(st.integers(0, spec.factor_count - 1))
+    b = draw(st.sampled_from([
+        push_product(spec, (), ((factor, draw(st.integers(-7, 7))),)),
+        tail,
+        spec.inverse(a),
+        push_product(spec, spec.inverse(a), tail),
+        push_product(spec, spec.inverse(a[len(a) // 2 :]), tail),
+    ]))
+    return spec, a, tuple(b)
+
+
+@given(plain_products())
+@settings(max_examples=300, deadline=None)
+def test_plain_multiply_matches_push_oracle(case):
+    spec, a, b = case
+    got = spec.multiply(a, b)
+    assert got == push_product(spec, a, b)
+    spec.check_element(got)
+    if b == spec.inverse(a):
+        assert got == ()
+    if len(b) == 1:
+        assert spec.right_action(b)(a) == got
+
+
+@st.composite
 def plain_junctions(draw):
     """(spec, a, s, raw): a and s reduced, raw one unreduced syllable.
 
